@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import decompose as dec
 from . import leonard, pbw, rd
-from .errors import ConfigError, RacahLabError
+from .errors import ConfigError, DimensionMismatch, RacahLabError
 from .gaussian import GaussianRational
 from .racah import (
     central_values,
@@ -56,7 +54,6 @@ class SuiteConfig:
     big_d_range: tuple[int, int]
     samples: int
     seed: int
-    workers: int
     out: str | None
     export_matrices: str | None
 
@@ -67,17 +64,19 @@ class SuiteConfig:
             "D": f"{self.big_d_range[0]}..{self.big_d_range[1]}",
             "samples": self.samples,
             "seed": self.seed,
-            "workers": self.workers,
         }
 
 
-def _check_dict(target: str, result: pbw.CheckResult) -> dict:
+def _check_json(result: pbw.CheckResult) -> dict:
     return {
-        "target": target,
         "identity": result.identity,
         "pass": result.passed,
         "residual_term_count": result.residual_term_count,
     }
+
+
+def _check_dict(target: str, result: pbw.CheckResult) -> dict:
+    return {"target": target, **_check_json(result)}
 
 
 def _ok(target: str, name: str, passed: bool, **extra) -> dict:
@@ -219,12 +218,7 @@ def _run_thm6_9(cfg: SuiteConfig) -> list[dict]:
             continue
         rep = rd.construct(params)
         criterion = rd.leonard_criterion(params)
-        hints = (
-            _distinct(rd.theta_list(params)),
-            _distinct(rd.theta_star_list(params)),
-            _distinct(rd.theta_eps_list(params)),
-        )
-        checker = leonard.check(rep.A, rep.B, rep.C, hints=hints).passed
+        checker = leonard.check(rep.A, rep.B, rep.C, hints=rd.leonard_hints(params)).passed
         out.append(
             _ok(
                 "thm6_9",
@@ -232,14 +226,6 @@ def _run_thm6_9(cfg: SuiteConfig) -> list[dict]:
                 criterion == checker,
             )
         )
-    return out
-
-
-def _distinct(seq):
-    out = []
-    for v in seq:
-        if v not in out:
-            out.append(v)
     return out
 
 
@@ -377,18 +363,7 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     for target in cfg.targets:
         if target not in _TARGET_RUNNERS:
             raise ConfigError(f"unknown target {target!r}")
-    results: dict[str, list[dict]] = {}
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = {
-                target: pool.submit(_TARGET_RUNNERS[target], cfg)
-                for target in cfg.targets
-            }
-            for target, future in futures.items():
-                results[target] = future.result()
-    else:
-        for target in cfg.targets:
-            results[target] = _TARGET_RUNNERS[target](cfg)
+    results = {target: _TARGET_RUNNERS[target](cfg) for target in cfg.targets}
     checks: list[dict] = []
     for target in sorted(results):
         checks.extend(results[target])
@@ -400,15 +375,17 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
         "ok": ok,
     }
     if cfg.export_matrices:
-        _export_cube_matrices(cfg, Path(cfg.export_matrices))
+        lo, hi = cfg.big_d_range
+        for D in range(lo, hi + 1):
+            _export_cube_operators(D, Path(cfg.export_matrices))
     return (0 if ok else 1), report
 
 
-def _export_cube_matrices(cfg: SuiteConfig, directory: Path) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    lo, hi = cfg.big_d_range
-    for D in range(lo, hi + 1):
-        rep, ops = build_hypercube(D)
+def _export_cube_operators(D: int, directory: Path) -> None:
+    """Write E, F, H, A2J, A2Jbar and A2star of the D-cube as matrix text files."""
+    rep, ops = build_hypercube(D)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
         for name, matrix in (
             ("E", rep.E),
             ("F", rep.F),
@@ -418,6 +395,8 @@ def _export_cube_matrices(cfg: SuiteConfig, directory: Path) -> None:
             ("A2star", ops.A2star),
         ):
             (directory / f"cube_D{D}_{name}.txt").write_text(matrix.to_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot write {directory}: {exc}") from None
 
 
 # -- JSON rendering helpers ------------------------------------------------------
@@ -477,11 +456,14 @@ def _decomposition_json(report: dec.DecompositionReport) -> dict:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    try:
+        if ".." in text:
+            lo_text, hi_text = text.split("..", 1)
+            lo, hi = int(lo_text), int(hi_text)
+        else:
+            lo = hi = int(text)
+    except ValueError:
+        raise ConfigError(f"bad range {text!r}") from None
     if lo > hi:
         raise ConfigError(f"empty range {text!r}")
     return lo, hi
@@ -490,8 +472,15 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _parse_scalar(text: str) -> GaussianRational:
     try:
         return GaussianRational.parse(text)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad scalar {text!r}: {exc}") from None
+
+
+def _load_rep(path: str):
+    try:
+        return load_rep(path)
+    except (OSError, ValueError, ZeroDivisionError, DimensionMismatch) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -554,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--samples", type=int, default=10)
     suite.add_argument("--seed", type=int, default=1)
     suite.add_argument("--out")
-    suite.add_argument("--workers", type=int, default=None)
     suite.add_argument("--export-matrices")
 
     return parser
@@ -562,7 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -589,29 +580,12 @@ def _dispatch(args) -> int:
             "even-identities": pbw.verify_even_identities,
         }[args.suite]
         checks = runner()
-        payload = [
-            {
-                "identity": c.identity,
-                "pass": c.passed,
-                "residual_term_count": c.residual_term_count,
-            }
-            for c in checks
-        ]
-        _emit(_dump(payload), None)
+        _emit(_dump([_check_json(c) for c in checks]), None)
         return 0 if all(c.passed for c in checks) else 1
 
     if args.command == "racah":
-        rep = load_rep(args.rep)
-        report = verify_presentation(rep)
-        payload = [
-            {
-                "identity": c.identity,
-                "pass": c.passed,
-                "residual_term_count": c.residual_term_count,
-            }
-            for c in report.checks
-        ]
-        _emit(_dump(payload), None)
+        report = verify_presentation(_load_rep(args.rep))
+        _emit(_dump([_check_json(c) for c in report.checks]), None)
         return 0 if report.ok else 1
 
     if args.command == "rd":
@@ -646,42 +620,22 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "leonard":
-        rep = load_rep(args.rep)
+        rep = _load_rep(args.rep)
         report = leonard.check(rep.A, rep.B, rep.C)
         _emit(_dump(_leonard_json(report)), None)
         return 0 if report.passed else 1
 
     if args.command == "hypercube":
         if args.cube_command == "build":
-            rep, ops = build_hypercube(args.D)
             if args.export:
-                directory = Path(args.export)
-                directory.mkdir(parents=True, exist_ok=True)
-                for name, matrix in (
-                    ("E", rep.E),
-                    ("F", rep.F),
-                    ("H", rep.H),
-                    ("A2J", ops.A2J),
-                    ("A2Jbar", ops.A2Jbar),
-                    ("A2star", ops.A2star),
-                ):
-                    (directory / f"cube_D{args.D}_{name}.txt").write_text(
-                        matrix.to_text()
-                    )
+                _export_cube_operators(args.D, Path(args.export))
                 print(f"exported 6 operators to {args.export}")
             else:
+                rep, _ops = build_hypercube(args.D)
                 print(f"built cube D={args.D}: dimension {rep.dim}")
             return 0
         checks = verify_hypercube(args.D)
-        payload = [
-            {
-                "identity": c.identity,
-                "pass": c.passed,
-                "residual_term_count": c.residual_term_count,
-            }
-            for c in checks
-        ]
-        _emit(_dump(payload), None)
+        _emit(_dump([_check_json(c) for c in checks]), None)
         return 0 if all(c.passed for c in checks) else 1
 
     if args.command == "decompose":
@@ -714,18 +668,12 @@ def _dispatch(args) -> int:
 
     if args.command == "suite":
         targets = tuple(t.strip() for t in args.targets.split(",") if t.strip())
-        workers = args.workers
-        if workers is None:
-            workers = int(os.environ.get("RACAHLAB_WORKERS", "1"))
-        if workers < 1:
-            raise ConfigError("workers must be at least 1")
         cfg = SuiteConfig(
             targets=targets,
             d_range=_parse_range(args.d),
             big_d_range=_parse_range(args.D),
             samples=args.samples,
             seed=args.seed,
-            workers=workers,
             out=args.out,
             export_matrices=args.export_matrices,
         )

@@ -34,9 +34,7 @@ from .rd import (
     RdParams,
     iso_class_from_traces,
     iso_class_of,
-    theta_eps_list,
-    theta_list,
-    theta_star_list,
+    leonard_hints,
 )
 from .sl2 import (
     EvenHalfModule,
@@ -46,6 +44,7 @@ from .sl2 import (
     half_pullback,
     halved_cube,
     casimir_matrix,
+    half_coeffs,
     sharp_pullback,
 )
 from .span import VectorSpan, algebra_closure
@@ -244,20 +243,6 @@ class EvenCopy:
     chain: tuple[Vector, ...]  # normalized so the closed-form coefficients hold
 
 
-def _half_coeffs(n: int, parity: int):
-    if parity == 0:
-        size = n // 2 + 1
-        e2 = lambda i: (n - 2 * i + 1) * (n - 2 * i + 2)
-        f2 = lambda i: (2 * i + 1) * (2 * i + 2)
-        top_weight = n
-    else:
-        size = (n - 1) // 2 + 1
-        e2 = lambda i: (n - 2 * i) * (n - 2 * i + 1)
-        f2 = lambda i: (2 * i + 2) * (2 * i + 3)
-        top_weight = n - 2
-    return size, e2, f2, top_weight
-
-
 def even_copies(
     e2_op: ExactMatrix, f2_op: ExactMatrix, h_op: ExactMatrix, lam_op: ExactMatrix
 ) -> list[EvenCopy]:
@@ -287,7 +272,7 @@ def even_copies(
                 raise ArithmeticError(
                     f"top weight {w} inconsistent with central value for n={n}"
                 )
-            size, e2c, f2c, _tw = _half_coeffs(n, parity)
+            size, e2c, f2c, _tw = half_coeffs(n, parity)
             chain = [top]
             for i in range(size - 1):
                 nxt = _vec_scale(f2_op.apply(chain[-1]), gr(1) / gr(f2c(i)))
@@ -562,21 +547,6 @@ def split_even_half(half: EvenHalfModule) -> DecompositionReport:
     return _parts_to_report(half.dim, parts, run_leonard=True)
 
 
-def _leonard_hints(p: RdParams):
-    def distinct(seq):
-        out = []
-        for v in seq:
-            if v not in out:
-                out.append(v)
-        return out
-
-    return (
-        distinct(theta_list(p)),
-        distinct(theta_star_list(p)),
-        distinct(theta_eps_list(p)),
-    )
-
-
 def _parts_to_report(
     ambient_dim: int, parts: list[CertifiedPart], run_leonard: bool
 ) -> DecompositionReport:
@@ -589,7 +559,7 @@ def _parts_to_report(
         leonard_passed = None
         if run_leonard:
             first = group[0]
-            report = leonard_check(*first.restricted, hints=_leonard_hints(first.expected))
+            report = leonard_check(*first.restricted, hints=leonard_hints(first.expected))
             leonard_passed = report.passed
         summands.append(
             SummandGroup(

@@ -50,6 +50,43 @@ def _int_mat_add(a_rows, b_rows, negate=False):
     return [[p + q for p, q in zip(ra, rb)] for ra, rb in zip(a_rows, b_rows)]
 
 
+def _gauss_int_matmul(a, b, cols):
+    """Product of Gaussian-integer matrices given as (real rows, imaginary rows or None)."""
+    re_a, im_a = a
+    re_b, im_b = b
+    re_part = _int_matmul(re_a, re_b, cols)
+    if im_a is not None and im_b is not None:
+        re_part = _int_mat_add(re_part, _int_matmul(im_a, im_b, cols), negate=True)
+    im_part = None
+    if im_b is not None:
+        im_part = _int_matmul(re_a, im_b, cols)
+    if im_a is not None:
+        im_part = _int_mat_add(im_part, _int_matmul(im_a, re_b, cols))
+    return re_part, im_part
+
+
+def _from_int_form(den, re_rows, im_rows) -> "ExactMatrix":
+    """The ExactMatrix (re_rows + i*im_rows) / den; im_rows may be None."""
+    cache: dict[tuple[int, int], GaussianRational] = {}
+
+    def wrap(re_v: int, im_v: int) -> GaussianRational:
+        key = (re_v, im_v)
+        got = cache.get(key)
+        if got is None:
+            got = GaussianRational(Fraction(re_v, den), Fraction(im_v, den))
+            cache[key] = got
+        return got
+
+    flat = []
+    if im_rows is None:
+        for row in re_rows:
+            flat.extend(wrap(v, 0) for v in row)
+    else:
+        for rrow, irow in zip(re_rows, im_rows):
+            flat.extend(wrap(rv, iv) for rv, iv in zip(rrow, irow))
+    return ExactMatrix(len(re_rows), len(re_rows[0]), flat)
+
+
 class ExactMatrix:
     """An immutable rows x cols matrix of GaussianRational entries."""
 
@@ -188,34 +225,8 @@ class ExactMatrix:
     def _matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         den_a, re_a, im_a = self.int_form()
         den_b, re_b, im_b = other.int_form()
-        cols = other.cols
-        re_part = _int_matmul(re_a, re_b, cols)
-        if im_a is not None and im_b is not None:
-            re_part = _int_mat_add(re_part, _int_matmul(im_a, im_b, cols), negate=True)
-        im_part = None
-        if im_b is not None:
-            im_part = _int_matmul(re_a, im_b, cols)
-        if im_a is not None:
-            im_part = _int_mat_add(im_part, _int_matmul(im_a, re_b, cols))
-        den = den_a * den_b
-        cache: dict[tuple[int, int], GaussianRational] = {}
-
-        def wrap(re_v: int, im_v: int) -> GaussianRational:
-            key = (re_v, im_v)
-            got = cache.get(key)
-            if got is None:
-                got = GaussianRational(Fraction(re_v, den), Fraction(im_v, den))
-                cache[key] = got
-            return got
-
-        flat = []
-        if im_part is None:
-            for row in re_part:
-                flat.extend(wrap(v, 0) for v in row)
-        else:
-            for rrow, irow in zip(re_part, im_part):
-                flat.extend(wrap(rv, iv) for rv, iv in zip(rrow, irow))
-        return ExactMatrix(self.rows, cols, flat)
+        re_part, im_part = _gauss_int_matmul((re_a, im_a), (re_b, im_b), other.cols)
+        return _from_int_form(den_a * den_b, re_part, im_part)
 
     def apply(self, vec: Sequence[GaussianRational]) -> Vector:
         """Matrix-vector product, exploiting sparsity of the matrix."""
@@ -300,17 +311,27 @@ class ExactMatrix:
         return "\n".join(lines) + "\n"
 
     @classmethod
+    def from_tokens(cls, tokens: Sequence[str], pos: int = 0) -> tuple["ExactMatrix", int]:
+        """Read `rows cols` and rows*cols entries from tokens[pos:].
+
+        Returns the matrix and the position of the first token after it.
+        """
+        if len(tokens) - pos < 2:
+            raise ValueError("matrix text too short")
+        rows, cols = int(tokens[pos]), int(tokens[pos + 1])
+        end = pos + 2 + rows * cols
+        body = tokens[pos + 2 : end]
+        if len(body) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, found {len(body)}")
+        return cls(rows, cols, tuple(GaussianRational.parse(t) for t in body)), end
+
+    @classmethod
     def from_text(cls, text: str) -> "ExactMatrix":
         tokens = text.split()
-        if len(tokens) < 2:
-            raise ValueError("matrix text too short")
-        rows, cols = int(tokens[0]), int(tokens[1])
-        body = tokens[2:]
-        if len(body) != rows * cols:
-            raise ValueError(
-                f"expected {rows * cols} entries, found {len(body)}"
-            )
-        return cls(rows, cols, tuple(GaussianRational.parse(t) for t in body))
+        matrix, end = cls.from_tokens(tokens)
+        if end != len(tokens):
+            raise ValueError(f"expected {end - 2} entries, found {len(tokens) - 2}")
+        return matrix
 
 
 def commutator(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:

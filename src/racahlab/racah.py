@@ -231,18 +231,18 @@ def rep_to_text(rep: RacahRep) -> str:
 
 
 def rep_from_text(text: str) -> RacahRep:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """Parse labeled blocks, each a label, `rows cols`, then rows*cols entries.
+
+    Tokens are separated by any whitespace; line breaks carry no meaning.
+    """
+    tokens = text.split()
     blocks: dict[str, ExactMatrix] = {}
     pos = 0
-    while pos < len(lines):
-        label = lines[pos]
+    while pos < len(tokens):
+        label = tokens[pos]
         if label not in _BLOCK_ORDER:
             raise ValueError(f"unexpected block label {label!r}")
-        dims = lines[pos + 1].split()
-        rows = int(dims[0])
-        body = lines[pos + 1 : pos + 2 + rows]
-        blocks[label] = ExactMatrix.from_text("\n".join(body))
-        pos += 2 + rows
+        blocks[label], pos = ExactMatrix.from_tokens(tokens, pos + 1)
     missing = [name for name in _BLOCK_ORDER if name not in blocks]
     if missing:
         raise ValueError(f"missing blocks: {missing}")

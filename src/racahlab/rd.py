@@ -68,6 +68,14 @@ def theta_eps_list(p: RdParams) -> list[GaussianRational]:
     return _eigen_sequence(p.c, p.d)
 
 
+def leonard_hints(p: RdParams) -> tuple[list[GaussianRational], ...]:
+    """The distinct eigenvalues of A, B and C in first-seen order."""
+    return tuple(
+        list(dict.fromkeys(seq))
+        for seq in (theta_list(p), theta_star_list(p), theta_eps_list(p))
+    )
+
+
 def phi_list(p: RdParams) -> list[GaussianRational]:
     """Superdiagonal entries phi_1 .. phi_d."""
     a, b, c, d = p.a, p.b, p.c, p.d

@@ -109,18 +109,25 @@ class EvenHalfModule:
     indices: tuple[int, ...]
 
 
-def _expected_half(n: int, parity: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-    """Closed-form E^2, F^2, H actions on the parity half of L_n."""
+def half_coeffs(n: int, parity: int):
+    """Closed forms of the parity half of L_n: its size, the coefficients
+    i -> E^2 and i -> F^2 along its chain, and its top weight."""
     if parity == 0:
         size = n // 2 + 1
         e2_coeff = lambda i: (n - 2 * i + 1) * (n - 2 * i + 2)
         f2_coeff = lambda i: (2 * i + 1) * (2 * i + 2)
-        weight = lambda i: n - 4 * i
+        top_weight = n
     else:
         size = (n - 1) // 2 + 1
         e2_coeff = lambda i: (n - 2 * i) * (n - 2 * i + 1)
         f2_coeff = lambda i: (2 * i + 2) * (2 * i + 3)
-        weight = lambda i: n - 4 * i - 2
+        top_weight = n - 2
+    return size, e2_coeff, f2_coeff, top_weight
+
+
+def _expected_half(n: int, parity: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
+    """Closed-form E^2, F^2, H actions on the parity half of L_n."""
+    size, e2_coeff, f2_coeff, top_weight = half_coeffs(n, parity)
     e2 = [[ZERO] * size for _ in range(size)]
     f2 = [[ZERO] * size for _ in range(size)]
     for i in range(1, size):
@@ -130,7 +137,7 @@ def _expected_half(n: int, parity: int) -> tuple[ExactMatrix, ExactMatrix, Exact
     return (
         ExactMatrix.from_rows(e2),
         ExactMatrix.from_rows(f2),
-        ExactMatrix.diagonal([weight(i) for i in range(size)]),
+        ExactMatrix.diagonal([top_weight - 4 * i for i in range(size)]),
     )
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch
 from .gaussian import GaussianRational
-from .matrix import ExactMatrix, _int_matmul, _int_mat_add
+from .matrix import ExactMatrix, _from_int_form, _gauss_int_matmul
 
 
 def _strip_content(vec: list[int]) -> list[int]:
@@ -114,14 +114,20 @@ class VectorSpan:
         return r // 2
 
     def _realify(self, re_part: list[int], im_part: list[int] | None) -> list[int]:
+        if len(re_part) != self.length:
+            raise DimensionMismatch("vector length does not match the span")
         if im_part is None:
             im_part = [0] * self.length
         return re_part + im_part
 
     def add(self, vec: Sequence[GaussianRational]) -> bool:
-        if len(vec) != self.length:
-            raise DimensionMismatch("vector length does not match the span")
-        re_part, im_part = _vector_int_form(vec)
+        return self.add_int(*_vector_int_form(vec))
+
+    def contains(self, vec: Sequence[GaussianRational]) -> bool:
+        return self._echelon.contains(self._realify(*_vector_int_form(vec)))
+
+    def add_int(self, re_part: list[int], im_part: list[int] | None) -> bool:
+        """Insert the Gaussian-integer vector re_part + i*im_part; True if it grew."""
         grew = self._echelon.add(self._realify(re_part, im_part))
         if grew:
             # i * (re + i*im) = -im + i*re
@@ -129,59 +135,8 @@ class VectorSpan:
             self._echelon.add(self._realify(neg_im, re_part))
         return grew
 
-    def contains(self, vec: Sequence[GaussianRational]) -> bool:
-        if len(vec) != self.length:
-            raise DimensionMismatch("vector length does not match the span")
-        re_part, im_part = _vector_int_form(vec)
-        return self._echelon.contains(self._realify(re_part, im_part))
-
 
 # -- algebra closure ----------------------------------------------------
-
-
-class _IntComplexMatrix:
-    """A Gaussian-integer matrix as (real rows, imaginary rows or None)."""
-
-    __slots__ = ("n", "re", "im")
-
-    def __init__(self, n, re, im):
-        self.n = n
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def from_exact(cls, m: ExactMatrix) -> "_IntComplexMatrix":
-        _, re_rows, im_rows = m.int_form()
-        return cls(m.rows, [list(r) for r in re_rows], im_rows and [list(r) for r in im_rows])
-
-    @classmethod
-    def identity(cls, n: int) -> "_IntComplexMatrix":
-        return cls(n, [[1 if i == j else 0 for j in range(n)] for i in range(n)], None)
-
-    def mul(self, other: "_IntComplexMatrix") -> "_IntComplexMatrix":
-        n = self.n
-        re = _int_matmul(self.re, other.re, n)
-        if self.im is not None and other.im is not None:
-            re = _int_mat_add(re, _int_matmul(self.im, other.im, n), negate=True)
-        im = None
-        if other.im is not None:
-            im = _int_matmul(self.re, other.im, n)
-        if self.im is not None:
-            im = _int_mat_add(im, _int_matmul(self.im, other.re, n))
-        return _IntComplexMatrix(n, re, im)
-
-    def flatten(self) -> list[GaussianRational]:
-        out = []
-        if self.im is None:
-            for row in self.re:
-                out.extend(GaussianRational(x) for x in row)
-        else:
-            for rrow, irow in zip(self.re, self.im):
-                out.extend(GaussianRational(a, b) for a, b in zip(rrow, irow))
-        return out
-
-    def to_exact(self) -> ExactMatrix:
-        return ExactMatrix(self.n, self.n, tuple(self.flatten()))
 
 
 @dataclass(frozen=True)
@@ -195,9 +150,9 @@ class ClosureResult:
     def contains(self, matrix: ExactMatrix) -> bool:
         return self.span.contains(matrix.entries)
 
-    def __iter__(self):
-        yield self.dim
-        yield self.basis
+
+def _flatten(rows: list[list[int]] | None) -> list[int] | None:
+    return None if rows is None else [x for row in rows for x in row]
 
 
 def algebra_closure(gens: Sequence[ExactMatrix]) -> ClosureResult:
@@ -208,7 +163,9 @@ def algebra_closure(gens: Sequence[ExactMatrix]) -> ClosureResult:
     Because the span always contains the identity, this reaches every word
     in the generators, hence the whole algebra.  Generators are rescaled to
     Gaussian-integer form first (harmless: scaling a generator by a nonzero
-    scalar does not change the generated unital algebra).
+    scalar does not change the generated unital algebra), and every word
+    stays a (real rows, imaginary rows or None) integer pair until the basis
+    is returned.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -216,21 +173,22 @@ def algebra_closure(gens: Sequence[ExactMatrix]) -> ClosureResult:
     for g in gens:
         if not g.is_square or g.rows != n:
             raise DimensionMismatch("generators must be square and equally sized")
-    scaled = [_IntComplexMatrix.from_exact(g) for g in gens]
+    scaled = [g.int_form()[1:] for g in gens]
+    identity = ([[int(i == j) for j in range(n)] for i in range(n)], None)
     span = VectorSpan(n * n)
-    basis: list[_IntComplexMatrix] = []
-    frontier: list[_IntComplexMatrix] = []
-    for candidate in [_IntComplexMatrix.identity(n)] + scaled:
-        if span.add(candidate.flatten()):
+    basis = []
+    frontier = []
+    for candidate in [identity] + scaled:
+        if span.add_int(*map(_flatten, candidate)):
             basis.append(candidate)
             frontier.append(candidate)
     while frontier:
-        fresh: list[_IntComplexMatrix] = []
+        fresh = []
         for w in frontier:
             for g in scaled:
-                prod = g.mul(w)
-                if span.add(prod.flatten()):
+                prod = _gauss_int_matmul(g, w, n)
+                if span.add_int(*map(_flatten, prod)):
                     basis.append(prod)
                     fresh.append(prod)
         frontier = fresh
-    return ClosureResult(len(basis), tuple(b.to_exact() for b in basis), span)
+    return ClosureResult(len(basis), tuple(_from_int_form(1, *b) for b in basis), span)

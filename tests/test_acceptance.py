@@ -34,11 +34,9 @@ from racahlab.rd import (
     is_irreducible,
     iso_class_of,
     leonard_criterion,
+    leonard_hints,
     min_polys,
     parameter_diagonalizable,
-    theta_eps_list,
-    theta_list,
-    theta_star_list,
 )
 from racahlab.sl2 import (
     build_hypercube,
@@ -127,23 +125,11 @@ def test_criterion_05_module_family_suite():
             polys = min_polys(params)
             for poly, value in zip(polys, (params.a, params.b, params.c)):
                 ok &= poly.is_squarefree == parameter_diagonalizable(value, d)
-            hints = tuple(
-                _distinct(seq)
-                for seq in (theta_list(params), theta_star_list(params), theta_eps_list(params))
-            )
-            checker = leonard_check(rep.A, rep.B, rep.C, hints=hints).passed
+            checker = leonard_check(rep.A, rep.B, rep.C, hints=leonard_hints(params)).passed
             ok &= leonard_criterion(params) == checker
         if not ok:
             break
     _report("5 (module family: 200 seeded draws, d <= 6)", ok, time.monotonic() - start, 120.0)
-
-
-def _distinct(seq):
-    out = []
-    for v in seq:
-        if v not in out:
-            out.append(v)
-    return out
 
 
 def test_criterion_06_half_split_tables():

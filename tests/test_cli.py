@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from racahlab.cli import build_parser, main, run_suite, SuiteConfig, SUITE_TARGETS
 
 
@@ -124,6 +126,42 @@ def test_missing_required_argument(capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rd", "analyze", "--a", "1/0", "--b", "0", "--c", "0", "--d", "1"],
+        ["rd", "build", "--a", "1/2+i", "--b", "0", "--c", "0", "--d", "1"],
+        ["rd", "build", "--a", "1", "--b", "0", "--c", "0", "--d", "1", "--out", "{no_dir}"],
+        ["suite", "--targets", "thm1_4", "--D", "2..x"],
+        ["hypercube", "build", "--D", "2", "--export", "{short}/sub"],
+        ["racah", "verify", "--rep", "{missing}"],
+        ["leonard", "check", "--rep", "{missing}"],
+        ["racah", "verify", "--rep", "{short}"],
+        ["racah", "verify", "--rep", "{zero_den}"],
+        ["racah", "verify", "--rep", "{ragged}"],
+    ],
+    ids=["zero-denominator-flag", "bad-token-flag", "unwritable-out", "bad-range",
+         "export-under-a-file", "missing-rep", "missing-rep-leonard", "short-block", "zero-denominator-file",
+         "mismatched-blocks"],
+)
+def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    files = {
+        "missing": tmp_path / "missing.txt",
+        "no_dir": tmp_path / "no_dir" / "rep.txt",
+        "short": tmp_path / "short.txt",
+        "zero_den": tmp_path / "zero_den.txt",
+        "ragged": tmp_path / "ragged.txt",
+    }
+    files["short"].write_text("A\n2 2\n1/1 0/1 0/1\n")
+    files["zero_den"].write_text("A\n1 1\n1/0\n")
+    files["ragged"].write_text("A 1 1 0 B 1 1 0 C 1 1 0 Delta 2 2 0 0 0 0\n")
+    status = main([arg.format(**files) for arg in argv])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_all_targets_registered():
     parser = build_parser()
     args = parser.parse_args(["suite", "--targets", ",".join(SUITE_TARGETS)])
@@ -137,7 +175,6 @@ def test_suite_deterministic_and_exit_status(tmp_path):
         big_d_range=(2, 2),
         samples=4,
         seed=7,
-        workers=1,
         out=None,
         export_matrices=None,
     )
@@ -146,21 +183,6 @@ def test_suite_deterministic_and_exit_status(tmp_path):
     assert status1 == status2 == 0
     assert json.dumps(report1, sort_keys=True) == json.dumps(report2, sort_keys=True)
     assert report1["config"]["seed"] == 7
-
-
-def test_suite_workers_match_serial():
-    base = dict(
-        targets=("thm1_4", "thm1_5", "sec3_identities"),
-        d_range=(0, 2),
-        big_d_range=(2, 2),
-        samples=2,
-        seed=3,
-        out=None,
-        export_matrices=None,
-    )
-    _status, serial = run_suite(SuiteConfig(workers=1, **base))
-    _status, threaded = run_suite(SuiteConfig(workers=3, **base))
-    assert serial["checks"] == threaded["checks"]
 
 
 def test_suite_unknown_target(capsys):

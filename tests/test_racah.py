@@ -130,6 +130,16 @@ def test_rep_text_roundtrip(symmetric_rep):
     )
 
 
+def test_rep_text_blocks_with_entries_on_one_line(symmetric_rep):
+    # Line breaks carry no meaning: all of a block's entries may share a line.
+    text = "".join(
+        f"{name}\n{m.rows} {m.cols}\n{' '.join(x.token() for x in m.entries)}\n"
+        for name, m in symmetric_rep.operators().items()
+    )
+    assert text.startswith("A\n2 2\n5/16 0/1 1/1 -3/16\nB\n")
+    assert rep_from_text(text) == symmetric_rep
+
+
 def test_rep_text_rejects_bad_labels():
     with pytest.raises(ValueError):
         rep_from_text("X\n1 1\n1/1\n")

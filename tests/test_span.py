@@ -3,6 +3,8 @@
 from fractions import Fraction
 from itertools import product
 
+from hypothesis import given, settings, strategies as st
+
 from racahlab.gaussian import GaussianRational, gr
 from racahlab.matrix import ExactMatrix
 from racahlab.sl2 import build_Ln
@@ -68,3 +70,49 @@ def test_closure_with_gaussian_entries():
     # span of I and the nilpotent part
     assert result.dim == 2
     assert result.contains(ExactMatrix.from_rows([[0, 1], [0, 0]]))
+
+
+# -- differential check against a closure built from ExactMatrix products ------
+
+_scalars = st.one_of(
+    st.just(gr(0)),
+    st.builds(
+        lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)),
+        st.integers(-3, 3),
+        st.integers(-2, 2),
+        st.integers(1, 4),
+    ),
+)
+
+
+@st.composite
+def _generator_sets(draw):
+    n = draw(st.integers(1, 4))
+    matrix = st.lists(_scalars, min_size=n * n, max_size=n * n).map(
+        lambda entries: ExactMatrix(n, n, entries)
+    )
+    return draw(st.lists(matrix, min_size=1, max_size=3)), draw(st.lists(matrix, max_size=3))
+
+
+def _reference_closure(gens):
+    """The unital algebra's span, grown through ExactMatrix products and VectorSpan.add."""
+    n = gens[0].rows
+    span = VectorSpan(n * n)
+    frontier = [m for m in [ExactMatrix.identity(n), *gens] if span.add(m.entries)]
+    while frontier:
+        words = [g * w for w in frontier for g in gens]
+        frontier = [m for m in words if span.add(m.entries)]
+    return span
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_sets())
+def test_closure_agrees_with_reference(case):
+    gens, probes = case
+    result = algebra_closure(gens)
+    reference = _reference_closure(gens)
+    assert result.dim == reference.rank
+    for m in result.basis:
+        assert reference.contains(m.entries)
+    for m in probes + [x * y for x, y in product(gens, repeat=2)]:
+        assert result.contains(m) == reference.contains(m.entries)
