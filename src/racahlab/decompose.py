@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import Sequence
 
 from .errors import ClassMismatch, DimMismatch, NonDiagonalizableH, NotIrreducible
 from .gaussian import GaussianRational, ZERO, gr, rational_sqrt
@@ -99,6 +100,17 @@ def _is_zero(vec: Vector) -> bool:
     return not any(vec)
 
 
+def _combine(coeffs: Sequence[GaussianRational], vectors: list[Vector]) -> Vector:
+    """The linear combination sum_k coeffs[k] * vectors[k]."""
+    acc = [ZERO] * len(vectors[0])
+    for coeff, vec in zip(coeffs, vectors):
+        if coeff:
+            for k, x in enumerate(vec):
+                if x:
+                    acc[k] = acc[k] + coeff * x
+    return tuple(acc)
+
+
 # -- weight spaces ------------------------------------------------------------
 
 
@@ -143,17 +155,7 @@ def _kernel_inside(op: ExactMatrix, vectors: list[Vector]) -> list[Vector]:
     """Basis of {v in span(vectors) : op(v) = 0}."""
     images = [op.apply(v) for v in vectors]
     image_matrix = ExactMatrix.from_rows([list(img) for img in images]).transpose()
-    combos = kernel_basis(image_matrix)
-    out = []
-    for combo in combos:
-        acc = [ZERO] * len(vectors[0])
-        for coeff, vec in zip(combo, vectors):
-            if coeff:
-                for k, x in enumerate(vec):
-                    if x:
-                        acc[k] = acc[k] + coeff * x
-        out.append(tuple(acc))
-    return out
+    return [_combine(combo, vectors) for combo in kernel_basis(image_matrix)]
 
 
 # -- sl2 isotypic decomposition --------------------------------------------
@@ -260,7 +262,7 @@ def even_copies(
         tops = _kernel_inside(e2_op, spaces[w])
         if not tops:
             continue
-        for top in _split_by_central(lam_op, tops, dim):
+        for top in _split_by_central(lam_op, tops):
             lam_image = lam_op.apply(top)
             scalar = _central_scalar_on(top, lam_image)
             n = _module_index_from_central(scalar)
@@ -312,9 +314,7 @@ def _module_index_from_central(scalar: GaussianRational) -> int:
     return int(m)
 
 
-def _split_by_central(
-    lam_op: ExactMatrix, tops: list[Vector], dim: int
-) -> list[Vector]:
+def _split_by_central(lam_op: ExactMatrix, tops: list[Vector]) -> list[Vector]:
     """Refine kernel vectors into eigenvectors of the central element."""
     if len(tops) == 1:
         vec = tops[0]
@@ -337,17 +337,7 @@ def _split_by_central(
     split = eigen_split(restricted, roots.roots)
     if not split.diagonalizable:
         raise ArithmeticError("central element not diagonalizable on the top space")
-    out: list[Vector] = []
-    for _value, space in split.pairs:
-        for combo in space.basis:
-            acc = [ZERO] * dim
-            for coeff, vec in zip(combo, tops):
-                if coeff:
-                    for k, x in enumerate(vec):
-                        if x:
-                            acc[k] = acc[k] + coeff * x
-            out.append(tuple(acc))
-    return out
+    return [_combine(combo, tops) for _value, space in split.pairs for combo in space.basis]
 
 
 def even_isotypic(
@@ -474,14 +464,7 @@ def restrict_operator(op: ExactMatrix, vectors: list[Vector]) -> ExactMatrix:
     if sol is None:
         raise ArithmeticError("operator does not preserve the subspace")
     for j in range(k):
-        acc = [ZERO] * dim
-        for i2 in range(k):
-            coeff = sol.entry(i2, j)
-            if coeff:
-                for pos, x in enumerate(vectors[i2]):
-                    if x:
-                        acc[pos] = acc[pos] + coeff * x
-        if tuple(acc) != images[j]:
+        if _combine([sol.entry(i, j) for i in range(k)], vectors) != images[j]:
             raise ArithmeticError("restriction verification failed")
     return sol
 

@@ -33,5 +33,5 @@ class DimMismatch(RacahLabError):
     """A semisimple block profile disagrees with the closure dimension."""
 
 
-class ConfigError(RacahLabError):
-    """Malformed command-line or suite configuration."""
+class ConfigError(RacahLabError, ValueError):
+    """Malformed command-line or suite configuration, or an out-of-range size."""

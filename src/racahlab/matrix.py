@@ -2,14 +2,17 @@
 
 Matrices are immutable and row-major.  Multiplication goes through a scaled
 integer fast path so that the hypercube-sized operators (dimension 2**D)
-remain tractable without ever leaving exact arithmetic.
+remain tractable without ever leaving exact arithmetic.  All row reduction
+(``rref``, ``kernel_basis``, ``solve_columns``, ``Subspace`` and
+``VectorSpan``) runs on one fraction-free integer echelon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import islice
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, RootsMismatch
@@ -65,8 +68,8 @@ def _gauss_int_matmul(a, b, cols):
     return re_part, im_part
 
 
-def _from_int_form(den, re_rows, im_rows) -> "ExactMatrix":
-    """The ExactMatrix (re_rows + i*im_rows) / den; im_rows may be None."""
+def _scalar_maker(den: int):
+    """Memoized (re, im) -> GaussianRational(re/den, im/den) for integers."""
     cache: dict[tuple[int, int], GaussianRational] = {}
 
     def wrap(re_v: int, im_v: int) -> GaussianRational:
@@ -77,6 +80,12 @@ def _from_int_form(den, re_rows, im_rows) -> "ExactMatrix":
             cache[key] = got
         return got
 
+    return wrap
+
+
+def _from_int_form(den, re_rows, im_rows) -> "ExactMatrix":
+    """The ExactMatrix (re_rows + i*im_rows) / den; im_rows may be None."""
+    wrap = _scalar_maker(den)
     flat = []
     if im_rows is None:
         for row in re_rows:
@@ -338,58 +347,184 @@ def commutator(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
     return x * y - y * x
 
 
-# -- row reduction ------------------------------------------------------
+# -- exact elimination ----------------------------------------------------
 
 
-def _rref_rows(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRational]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    n_cols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                pivot_row = i
+def _strip_content(vec: list[int]) -> list[int]:
+    g = 0
+    for x in vec:
+        if x:
+            g = gcd(g, x)
+            if g == 1:
                 break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][col]
-        if inv != ONE:
-            rows[r] = [x * inv for x in rows[r]]
-        lead = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], lead)]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    if g > 1:
+        vec = [x // g for x in vec]
+    return vec
+
+
+class _IntEchelon:
+    """Exact incremental rank structure over the integers.
+
+    Rows are kept in insertion order; each stored row is fully reduced
+    against all earlier rows, is primitive, and has a positive leading
+    entry.  Reduction of a fresh vector therefore proceeds triangularly,
+    and one back-substitution pass (``reduced``) completes the reduced
+    row echelon form.  Elimination is fraction-free: rows are
+    cross-multiplied, never divided.
+    """
+
+    __slots__ = ("rows", "pivots", "pivot_values")
+
+    def __init__(self):
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+        self.pivot_values: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, vec: list[int], start: int = 0) -> list[int]:
+        """Eliminate the pivots of the stored rows from ``start`` on."""
+        steps = 0
+        for row, piv, pval in islice(zip(self.rows, self.pivots, self.pivot_values), start, None):
+            c = vec[piv]
+            if c:
+                g = gcd(pval, c)
+                a = pval // g
+                b = c // g
+                if a == 1:
+                    vec = [x - b * y for x, y in zip(vec, row)]
+                else:
+                    vec = [a * x - b * y for x, y in zip(vec, row)]
+                steps += 1
+                if steps % 12 == 0:
+                    # Keep coordinates small across long elimination chains.
+                    vec = _strip_content(vec)
+        return vec
+
+    def contains(self, vec: list[int]) -> bool:
+        return not any(self._reduce(vec))
+
+    def add(self, vec: list[int]) -> bool:
+        """Insert the vector; True if it enlarged the span."""
+        vec = self._reduce(vec)
+        for piv, x in enumerate(vec):
+            if x:
+                vec = _strip_content(vec)
+                if vec[piv] < 0:
+                    vec = [-y for y in vec]
+                self.rows.append(vec)
+                self.pivots.append(piv)
+                self.pivot_values.append(vec[piv])
+                return True
+        return False
+
+    def reduced(self) -> list[list[int]]:
+        """The stored rows, each made zero at every pivot but its own.
+
+        Row k is already zero at the pivots of the rows before it, so
+        reducing it against the rows after it finishes the job.  Each
+        result is a positive multiple of a reduced row echelon row.
+        """
+        return [self._reduce(row, k + 1) for k, row in enumerate(self.rows)]
+
+
+def _vector_int_form(vec: Sequence[GaussianRational]) -> tuple[list[int], list[int] | None]:
+    den = 1
+    for x in vec:
+        den = lcm(den, x.re.denominator, x.im.denominator)
+    re_part = [x.re.numerator * (den // x.re.denominator) for x in vec]
+    im_part = [x.im.numerator * (den // x.im.denominator) for x in vec]
+    return re_part, (im_part if any(im_part) else None)
+
+
+class VectorSpan:
+    """Incremental span of fixed-length Gaussian-rational vectors.
+
+    A vector re + i*im is stored realified in interleaved coordinates
+    (re_0, im_0, re_1, im_1, ...) next to its i-multiple, so the rational
+    span of the stored rows is the realification of the Gaussian-rational
+    span.
+    """
+
+    def __init__(self, length: int):
+        self.length = length
+        self._echelon = _IntEchelon()
+
+    @property
+    def rank(self) -> int:
+        # Realified rows come in (v, i*v) pairs, so the rank over the
+        # Gaussian rationals is half the integer rank.
+        r = self._echelon.rank
+        assert r % 2 == 0
+        return r // 2
+
+    def _realify(self, re_part: list[int], im_part: list[int] | None) -> list[int]:
+        if len(re_part) != self.length:
+            raise DimensionMismatch("vector length does not match the span")
+        vec = [0] * (2 * self.length)
+        vec[::2] = re_part
+        if im_part is not None:
+            vec[1::2] = im_part
+        return vec
+
+    def add(self, vec: Sequence[GaussianRational]) -> bool:
+        return self.add_int(*_vector_int_form(vec))
+
+    def contains(self, vec: Sequence[GaussianRational]) -> bool:
+        return self._echelon.contains(self._realify(*_vector_int_form(vec)))
+
+    def add_int(self, re_part: list[int], im_part: list[int] | None) -> bool:
+        """Insert the Gaussian-integer vector re_part + i*im_part; True if it grew."""
+        vec = self._realify(re_part, im_part)
+        grew = self._echelon.add(vec)
+        if grew:
+            # i * (re + i*im) = -im + i*re
+            turned = [0] * len(vec)
+            turned[::2] = [-x for x in vec[1::2]]
+            turned[1::2] = vec[::2]
+            self._echelon.add(turned)
+        return grew
+
+    def reduced_basis(self) -> tuple[list[int], list[Vector]]:
+        """Pivot columns and rows of the span's reduced row echelon form.
+
+        In interleaved coordinates a Gaussian-rational reduced row with
+        pivot p realifies to a rational reduced row with pivot 2p, and its
+        i-multiple to one with pivot 2p + 1.  So the rational reduced rows
+        with even pivots, de-interleaved, are the Gaussian-rational ones.
+        """
+        echelon = self._echelon
+        found = []
+        for piv, row in zip(echelon.pivots, echelon.reduced()):
+            if piv % 2 == 0:
+                wrap = _scalar_maker(row[piv])
+                found.append((piv // 2, tuple(map(wrap, row[::2], row[1::2]))))
+        found.sort(key=lambda pair: pair[0])
+        return [piv for piv, _row in found], [row for _piv, row in found]
+
+
+def _row_span(rows: Iterable[Sequence[GaussianRational]], length: int) -> VectorSpan:
+    span = VectorSpan(length)
+    for row in rows:
+        span.add_int(*_vector_int_form(row))
+    return span
 
 
 def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, int]:
     """Reduced row echelon form and rank, exact."""
-    rows = [matrix.row_list(i) for i in range(matrix.rows)]
-    rows, pivots = _rref_rows(rows)
-    flat = []
-    for row in rows:
-        flat.extend(row)
+    span = _row_span(map(matrix.row_list, range(matrix.rows)), matrix.cols)
+    pivots, rows = span.reduced_basis()
+    flat = [x for row in rows for x in row]
+    flat.extend([ZERO] * ((matrix.rows - len(rows)) * matrix.cols))
     return ExactMatrix(matrix.rows, matrix.cols, flat), len(pivots)
-
-
-def rank(matrix: ExactMatrix) -> int:
-    return rref(matrix)[1]
 
 
 def kernel_basis(matrix: ExactMatrix) -> list[Vector]:
     """A canonical basis of the right kernel of the matrix."""
-    rows = [matrix.row_list(i) for i in range(matrix.rows)]
-    rows, pivots = _rref_rows(rows)
+    span = _row_span(map(matrix.row_list, range(matrix.rows)), matrix.cols)
+    pivots, rows = span.reduced_basis()
     pivot_set = set(pivots)
     free = [j for j in range(matrix.cols) if j not in pivot_set]
     basis = []
@@ -405,26 +540,15 @@ def kernel_basis(matrix: ExactMatrix) -> list[Vector]:
 def solve_columns(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix | None:
     """Solve a*X = b for X where a has full column rank; None if inconsistent."""
     m = a.cols
-    k = b.cols
     if a.rows != b.rows:
         raise DimensionMismatch("row counts differ")
-    rows = [
-        a.row_list(i) + b.row_list(i)
-        for i in range(a.rows)
-    ]
-    rows, pivots = _rref_rows(rows)
-    if len(pivots) < m or any(p >= m for p in pivots):
-        if any(p >= m for p in pivots):
-            return None
+    joined = (a.row_list(i) + b.row_list(i) for i in range(a.rows))
+    pivots, rows = _row_span(joined, m + b.cols).reduced_basis()
+    if pivots and pivots[-1] >= m:
+        return None
+    if len(pivots) < m:
         raise ValueError("coefficient matrix does not have full column rank")
-    sol = [[ZERO] * k for _ in range(m)]
-    for r, pc in enumerate(pivots):
-        for j in range(k):
-            sol[pc][j] = rows[r][m + j]
-    flat = []
-    for row in sol:
-        flat.extend(row)
-    return ExactMatrix(m, k, flat)
+    return ExactMatrix(m, b.cols, [x for row in rows for x in row[m:]])
 
 
 # -- subspaces ------------------------------------------------------------
@@ -439,25 +563,17 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
-        rows = [[gr(x) for x in v] for v in vectors]
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise DimensionMismatch("vector length does not match ambient dimension")
-        rows, pivots = _rref_rows(rows)
-        return cls(ambient_dim, tuple(tuple(rows[i]) for i in range(len(pivots))))
+        rows = ([gr(x) for x in v] for v in vectors)
+        return cls(ambient_dim, tuple(_row_span(rows, ambient_dim).reduced_basis()[1]))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, vector: Sequence) -> bool:
-        vec = [gr(x) for x in vector]
-        for row in self.basis:
-            lead = next(j for j, x in enumerate(row) if x)
-            c = vec[lead]
-            if c:
-                vec = [a - c * b for a, b in zip(vec, row)]
-        return not any(vec)
+        """True iff adding the vector to the basis leaves the rank unchanged."""
+        span = _row_span(self.basis, self.ambient_dim)
+        return not span.add_int(*_vector_int_form([gr(x) for x in vector]))
 
 
 # -- minimal polynomial and eigenspaces ------------------------------------

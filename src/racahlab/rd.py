@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotIrreducible
+from .errors import ConfigError, NotIrreducible
 from .gaussian import GaussianRational, gaussian_sqrt, gr
 from .matrix import ExactMatrix, commutator, minimal_polynomial
 from .polynomial import Poly
@@ -39,7 +39,7 @@ class RdParams:
         object.__setattr__(self, "b", gr(self.b))
         object.__setattr__(self, "c", gr(self.c))
         if self.d < 0:
-            raise ValueError("d must be nonnegative")
+            raise ConfigError("d must be nonnegative")
 
     def label(self) -> str:
         return (

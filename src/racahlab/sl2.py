@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import DimensionMismatch
+from .errors import ConfigError, DimensionMismatch
 from .gaussian import GaussianRational, ONE, ZERO, gr
 from .matrix import ExactMatrix, commutator
 from .pbw import CheckResult
@@ -73,7 +73,7 @@ def casimir_matrix(rep: Sl2Rep) -> ExactMatrix:
 def build_Ln(n: int) -> Sl2Rep:
     """The irreducible module of highest weight n on basis v_0..v_n."""
     if n < 0:
-        raise ValueError("the highest weight must be nonnegative")
+        raise ConfigError("the highest weight must be nonnegative")
     dim = n + 1
     e_rows = [[ZERO] * dim for _ in range(dim)]
     f_rows = [[ZERO] * dim for _ in range(dim)]
@@ -253,7 +253,7 @@ def _subset_label(mask: int, D: int) -> str:
 @lru_cache(maxsize=None)
 def hypercube_space(D: int) -> HypercubeSpace:
     if D < 2:
-        raise ValueError("the cube dimension must be at least 2")
+        raise ConfigError("the cube dimension must be at least 2")
     size = 1 << D
     vertices = tuple(range(size))
     labels = tuple(_subset_label(v, D) for v in vertices)
@@ -284,9 +284,7 @@ def build_hypercube(D: int, validate: bool | None = None) -> tuple[Sl2Rep, Graph
     (default for D <= 8) the dual-route consistency checks run at build time.
     """
     if D > MAX_DENSE_D:
-        raise ValueError(
-            f"dense construction is capped at D = {MAX_DENSE_D}"
-        )
+        raise ConfigError(f"dense construction is capped at D = {MAX_DENSE_D}")
     if validate is None:
         validate = D <= 8
     space = hypercube_space(D)

@@ -139,10 +139,16 @@ def test_missing_required_argument(capsys):
         ["racah", "verify", "--rep", "{short}"],
         ["racah", "verify", "--rep", "{zero_den}"],
         ["racah", "verify", "--rep", "{ragged}"],
+        ["hypercube", "build", "--D", "40"],
+        ["hypercube", "verify", "--D", "13"],
+        ["hypercube", "build", "--D", "1"],
+        ["decompose", "--target", "Ln", "--n", "-1"],
+        ["rd", "analyze", "--a", "1", "--b", "1", "--c", "1", "--d", "-1"],
     ],
     ids=["zero-denominator-flag", "bad-token-flag", "unwritable-out", "bad-range",
          "export-under-a-file", "missing-rep", "missing-rep-leonard", "short-block", "zero-denominator-file",
-         "mismatched-blocks"],
+         "mismatched-blocks", "cube-above-dense-cap", "verify-above-dense-cap", "cube-below-2",
+         "negative-highest-weight", "negative-rd-size"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     files = {

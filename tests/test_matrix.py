@@ -69,6 +69,111 @@ def test_solve_columns_consistency():
     assert solve_columns(a, bad) is None
 
 
+# -- differential test against a Gauss-Jordan oracle ---------------------------
+
+
+def _gauss_jordan(rows):
+    """Reduced row echelon form by Gauss-Jordan over GaussianRational; (rows, pivots)."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = gr(1) / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        lead = rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], lead)]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _oracle_kernel(rows, pivots, cols):
+    basis = []
+    for f in (j for j in range(cols) if j not in pivots):
+        vec = [gr(0)] * cols
+        vec[f] = gr(1)
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _oracle_solve(a, b):
+    """The solution of a*X = b, None if inconsistent, ValueError if a is rank deficient."""
+    m = a.cols
+    rows, pivots = _gauss_jordan([a.row_list(i) + b.row_list(i) for i in range(a.rows)])
+    if any(p >= m for p in pivots):
+        return None
+    if len(pivots) < m:
+        return ValueError
+    return ExactMatrix(m, b.cols, [x for row in rows[:m] for x in row[m:]])
+
+
+real_scalars = st.builds(GaussianRational, st.fractions(-3, 3, max_denominator=3))
+gaussian_scalars = st.builds(
+    GaussianRational,
+    st.fractions(-3, 3, max_denominator=3),
+    st.one_of(st.just(0), st.fractions(-2, 2, max_denominator=2)),
+)
+
+
+def _matrices(rows, cols, scalars):
+    zero_or = st.one_of(st.just(gr(0)), scalars)
+    return st.lists(zero_or, min_size=rows * cols, max_size=rows * cols).map(
+        lambda flat: ExactMatrix(rows, cols, flat)
+    )
+
+
+@st.composite
+def linear_systems(draw):
+    """(a, b): real or Gaussian a up to 5x6, often a low-rank product, and a
+    right-hand side b that is either a*X (consistent) or drawn freely."""
+    scalars = draw(st.sampled_from([real_scalars, gaussian_scalars]))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, min(rows, cols)))
+        a = draw(_matrices(rows, inner, scalars)) * draw(_matrices(inner, cols, scalars))
+    else:
+        a = draw(_matrices(rows, cols, scalars))
+    k = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        b = a * draw(_matrices(cols, k, scalars))
+    else:
+        b = draw(_matrices(rows, k, scalars))
+    probe = draw(_matrices(1, cols, scalars)).row_list(0)
+    return a, b, probe
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_kernels_match_gauss_jordan_oracle(system):
+    a, b, probe = system
+    rows, pivots = _gauss_jordan([a.row_list(i) for i in range(a.rows)])
+    rank = len(pivots)
+    assert rref(a) == (ExactMatrix(a.rows, a.cols, [x for row in rows for x in row]), rank)
+    assert kernel_basis(a) == _oracle_kernel(rows, pivots, a.cols)
+    expected = _oracle_solve(a, b)
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            solve_columns(a, b)
+    else:
+        assert solve_columns(a, b) == expected
+    sub = Subspace.from_vectors(a.cols, [a.row_list(i) for i in range(a.rows)])
+    assert sub.basis == tuple(tuple(row) for row in rows[:rank])
+    probe_in_span = len(_gauss_jordan(rows[:rank] + [probe])[1]) == rank
+    assert sub.contains(probe) == probe_in_span
+    assert sub.contains((b.transpose() * a).row_list(0))
+
+
 class TestMinimalPolynomial:
     def test_diagonal(self):
         m = ExactMatrix.diagonal([Fraction(5, 16), Fraction(-3, 16)])
