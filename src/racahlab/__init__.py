@@ -15,6 +15,7 @@ from .errors import (
     NonSplitting,
     NotIrreducible,
     RacahLabError,
+    RelationFailure,
     RootsMismatch,
 )
 from .gaussian import GaussianRational, gr

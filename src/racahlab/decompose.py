@@ -123,13 +123,8 @@ def _integer_weight(value: GaussianRational) -> int:
 def _weight_spaces(h: ExactMatrix) -> dict[int, list[Vector]]:
     """Group an exactly diagonal weight operator into coordinate eigenspaces."""
     n = h.rows
-    diagonal = True
-    for i, row in enumerate(h.sparse_rows()):
-        if any(j != i for j, _v in row):
-            diagonal = False
-            break
     spaces: dict[int, list[Vector]] = {}
-    if diagonal:
+    if h == ExactMatrix.diagonal([h.entry(i, i) for i in range(n)]):
         for i in range(n):
             w = _integer_weight(h.entry(i, i))
             vec = [ZERO] * n

@@ -35,3 +35,7 @@ class DimMismatch(RacahLabError):
 
 class ConfigError(RacahLabError, ValueError):
     """Malformed command-line or suite configuration, or an out-of-range size."""
+
+
+class RelationFailure(RacahLabError, ValueError):
+    """Operators fail a relation they were required to satisfy."""

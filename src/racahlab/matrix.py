@@ -1,17 +1,21 @@
 """Dense exact matrices over the Gaussian rationals and their kernels.
 
-Matrices are immutable and row-major.  Multiplication goes through a scaled
-integer fast path so that the hypercube-sized operators (dimension 2**D)
-remain tractable without ever leaving exact arithmetic.  All row reduction
-(``rref``, ``kernel_basis``, ``solve_columns``, ``Subspace`` and
-``VectorSpan``) runs on one fraction-free integer echelon.
+An ``ExactMatrix`` has one stored form, ``(re + i*im) / den``: ``re`` and
+``im`` are tuples of integer row tuples (``im`` is None for a real matrix)
+and ``den > 0`` is coprime to every entry, so equal matrices are stored
+alike.  Sums, scalar multiples, products, ``apply`` and the structural
+operations all run on these integer rows; ``GaussianRational`` entries
+appear only in the views built on demand (``entries``, ``entry``,
+``row_list`` and the text format).  All row reduction (``rref``,
+``kernel_basis``, ``solve_columns``, ``Subspace`` and ``VectorSpan``) runs on
+one fraction-free integer echelon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
@@ -41,16 +45,19 @@ def _int_matmul(a_rows, b_rows, cols):
     return out
 
 
-def _int_mat_add(a_rows, b_rows, negate=False):
-    if a_rows is None and b_rows is None:
-        return None
-    if a_rows is None:
-        return [[-x for x in row] for row in b_rows] if negate else [list(r) for r in b_rows]
-    if b_rows is None:
-        return [list(r) for r in a_rows]
-    if negate:
-        return [[p - q for p, q in zip(ra, rb)] for ra, rb in zip(a_rows, b_rows)]
-    return [[p + q for p, q in zip(ra, rb)] for ra, rb in zip(a_rows, b_rows)]
+def _int_scale(rows, s):
+    return rows if s == 1 else [[s * x for x in row] for row in rows]
+
+
+def _int_combine(a, sa, b, sb):
+    """The integer rows sa*a + sb*b, where None stands for a zero matrix."""
+    if b is None or not sb:
+        return None if a is None else _int_scale(a, sa)
+    if a is None:
+        return _int_scale(b, sb)
+    if sa == 1:
+        return [[x + sb * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[sa * x + sb * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _gauss_int_matmul(a, b, cols):
@@ -59,12 +66,10 @@ def _gauss_int_matmul(a, b, cols):
     re_b, im_b = b
     re_part = _int_matmul(re_a, re_b, cols)
     if im_a is not None and im_b is not None:
-        re_part = _int_mat_add(re_part, _int_matmul(im_a, im_b, cols), negate=True)
-    im_part = None
-    if im_b is not None:
-        im_part = _int_matmul(re_a, im_b, cols)
+        re_part = _int_combine(re_part, 1, _int_matmul(im_a, im_b, cols), -1)
+    im_part = None if im_b is None else _int_matmul(re_a, im_b, cols)
     if im_a is not None:
-        im_part = _int_mat_add(im_part, _int_matmul(im_a, re_b, cols))
+        im_part = _int_combine(im_part, 1, _int_matmul(im_a, re_b, cols), 1)
     return re_part, im_part
 
 
@@ -83,35 +88,61 @@ def _scalar_maker(den: int):
     return wrap
 
 
-def _from_int_form(den, re_rows, im_rows) -> "ExactMatrix":
-    """The ExactMatrix (re_rows + i*im_rows) / den; im_rows may be None."""
-    wrap = _scalar_maker(den)
-    flat = []
-    if im_rows is None:
-        for row in re_rows:
-            flat.extend(wrap(v, 0) for v in row)
-    else:
-        for rrow, irow in zip(re_rows, im_rows):
-            flat.extend(wrap(rv, iv) for rv, iv in zip(rrow, irow))
-    return ExactMatrix(len(re_rows), len(re_rows[0]), flat)
+def _vector_ints(vec: Sequence[GaussianRational]) -> tuple[int, list[int], list[int] | None]:
+    """(den, re, im or None) with vec = (re + i*im) / den and den the lcm of the denominators."""
+    den = lcm(*(x.re.denominator for x in vec), *(x.im.denominator for x in vec))
+    re_part = [x.re.numerator * (den // x.re.denominator) for x in vec]
+    im_part = [x.im.numerator * (den // x.im.denominator) for x in vec]
+    return den, re_part, (im_part if any(im_part) else None)
+
+
+def _from_ints(den, re_rows, im_rows) -> "ExactMatrix":
+    """The ExactMatrix (re_rows + i*im_rows) / den, brought to canonical form.
+
+    den must be positive and im_rows may be None.
+    """
+    re_rows = tuple(map(tuple, re_rows))
+    im_rows = None if im_rows is None else tuple(map(tuple, im_rows))
+    if not re_rows or not re_rows[0]:
+        raise ValueError("matrix dimensions must be positive")
+    if im_rows is not None and not any(map(any, im_rows)):
+        im_rows = None
+    g = gcd(den, *chain.from_iterable(re_rows), *chain.from_iterable(im_rows or ()))
+    if g > 1:
+        den //= g
+        re_rows, im_rows = (
+            rows and tuple(tuple(x // g for x in row) for row in rows) for rows in (re_rows, im_rows)
+        )
+    matrix = object.__new__(ExactMatrix)
+    matrix._assign(len(re_rows), len(re_rows[0]), den, re_rows, im_rows)
+    return matrix
+
+
+def _split_rows(flat: list[int] | None, cols: int):
+    """A flat integer list as a tuple of row tuples; None stays None."""
+    return flat and tuple(tuple(flat[k : k + cols]) for k in range(0, len(flat), cols))
 
 
 class ExactMatrix:
-    """An immutable rows x cols matrix of GaussianRational entries."""
+    """An immutable rows x cols matrix over the Gaussian rationals.
 
-    __slots__ = ("rows", "cols", "entries", "_intform", "_sparse")
+    Stored as (re + i*im) / den; see the module docstring.
+    """
+
+    __slots__ = ("rows", "cols", "den", "re", "im")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         if rows <= 0 or cols <= 0:
             raise ValueError("matrix dimensions must be positive")
-        ent = tuple(entries)
-        if len(ent) != rows * cols:
+        den, re_flat, im_flat = _vector_ints([gr(x) for x in entries])
+        if len(re_flat) != rows * cols:
             raise ValueError("entry count does not match dimensions")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "_intform", None)
-        object.__setattr__(self, "_sparse", None)
+        # den is the lcm of the entries' denominators, so the form is canonical
+        self._assign(rows, cols, den, _split_rows(re_flat, cols), _split_rows(im_flat, cols))
+
+    def _assign(self, rows, cols, den, re_rows, im_rows) -> None:
+        for name, value in zip(self.__slots__, (rows, cols, den, re_rows, im_rows)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -124,98 +155,79 @@ class ExactMatrix:
         if r == 0:
             raise ValueError("need at least one row")
         c = len(rows[0])
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(gr(x) for x in row)
-        return cls(r, c, flat)
+        if any(len(row) != c for row in rows):
+            raise ValueError("ragged rows")
+        return cls(r, c, [x for row in rows for x in row])
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        return cls.diagonal([1] * n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
+        return _from_ints(1, [[0] * cols for _ in range(rows)], None)
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "ExactMatrix":
-        vals = [gr(v) for v in values]
-        n = len(vals)
-        return cls(n, n, tuple(vals[i] if i == j else ZERO for i in range(n) for j in range(n)))
+        den, re_diag, im_diag = _vector_ints([gr(v) for v in values])
+        n = len(re_diag)
+
+        def square(diag):
+            return diag and [[x if i == j else 0 for j in range(n)] for i, x in enumerate(diag)]
+
+        return _from_ints(den, square(re_diag), square(im_diag))
 
     @classmethod
     def scalar_matrix(cls, n: int, value) -> "ExactMatrix":
         return cls.diagonal([value] * n)
 
-    # -- accessors ----------------------------------------------------
+    # -- views ----------------------------------------------------------
+
+    @property
+    def entries(self) -> Vector:
+        """The row-major entries as GaussianRationals."""
+        return tuple(chain.from_iterable(map(self.row_list, range(self.rows))))
 
     def entry(self, i: int, j: int) -> GaussianRational:
-        return self.entries[i * self.cols + j]
+        return self.row_list(i)[j]
 
     def row_list(self, i: int) -> list[GaussianRational]:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
+        wrap = _scalar_maker(self.den)
+        im_row = (0,) * self.cols if self.im is None else self.im[i]
+        return list(map(wrap, self.re[i], im_row))
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def sparse_rows(self):
-        """Cached per-row list of (column, value) pairs for nonzero entries."""
-        if self._sparse is None:
-            c = self.cols
-            rows = []
-            for i in range(self.rows):
-                base = i * c
-                rows.append(
-                    [(j, self.entries[base + j]) for j in range(c) if self.entries[base + j]]
-                )
-            object.__setattr__(self, "_sparse", rows)
-        return self._sparse
-
-    def int_form(self):
-        """Cached (denominator, real int rows, imaginary int rows or None)."""
-        if self._intform is None:
-            den = 1
-            for x in self.entries:
-                den = lcm(den, x.re.denominator, x.im.denominator)
-            c = self.cols
-            re_rows = []
-            im_rows = []
-            has_im = False
-            for i in range(self.rows):
-                row = self.entries[i * c : (i + 1) * c]
-                re_rows.append([int(x.re * den) for x in row])
-                irow = [int(x.im * den) for x in row]
-                if any(irow):
-                    has_im = True
-                im_rows.append(irow)
-            object.__setattr__(self, "_intform", (den, re_rows, im_rows if has_im else None))
-        return self._intform
-
     # -- arithmetic -----------------------------------------------------
 
-    def _check_same_shape(self, other):
+    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
+        """self + sign*other over the lcm of the two denominators."""
         if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
+            raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        return _from_ints(
+            den, _int_combine(self.re, sa, other.re, sb), _int_combine(self.im, sa, other.im, sb)
+        )
+
+    def _scale(self, scalar) -> "ExactMatrix":
+        """scalar * self: (re + i*im)(sr + i*si) / (den * sden)."""
+        sden, (sr,), si = _vector_ints([gr(scalar)])
+        si = si[0] if si else 0
+        re_part = _int_combine(self.re, sr, self.im, -si)
+        im_part = _int_combine(self.im, sr, self.re, si)
+        return _from_ints(self.den * sden, re_part, im_part)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix(
-            self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix(
-            self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries))
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return self._scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -224,100 +236,74 @@ class ExactMatrix:
                     f"{self.rows}x{self.cols} times {other.rows}x{other.cols}"
                 )
             return self._matmul(other)
-        scalar = gr(other)
-        return ExactMatrix(self.rows, self.cols, tuple(a * scalar for a in self.entries))
+        return self._scale(other)
 
     def __rmul__(self, other):
-        scalar = gr(other)
-        return ExactMatrix(self.rows, self.cols, tuple(scalar * a for a in self.entries))
+        return self._scale(other)
 
     def _matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        den_a, re_a, im_a = self.int_form()
-        den_b, re_b, im_b = other.int_form()
-        re_part, im_part = _gauss_int_matmul((re_a, im_a), (re_b, im_b), other.cols)
-        return _from_int_form(den_a * den_b, re_part, im_part)
+        re_part, im_part = _gauss_int_matmul((self.re, self.im), (other.re, other.im), other.cols)
+        return _from_ints(self.den * other.den, re_part, im_part)
 
     def apply(self, vec: Sequence[GaussianRational]) -> Vector:
-        """Matrix-vector product, exploiting sparsity of the matrix."""
+        """Matrix-vector product: the matrix product against one column."""
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        out = []
-        for row in self.sparse_rows():
-            acc = ZERO
-            for j, val in row:
-                v = vec[j]
-                if v:
-                    acc = acc + val * v
-            out.append(acc)
-        return tuple(out)
+        return self._matmul(ExactMatrix(self.cols, 1, vec)).entries
 
     # -- structure ------------------------------------------------------
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        return _from_ints(self.den, zip(*self.re), self.im and zip(*self.im))
 
     def trace(self) -> GaussianRational:
         if not self.is_square:
             raise DimensionMismatch("trace of a non-square matrix")
-        acc = ZERO
-        for i in range(self.rows):
-            acc = acc + self.entry(i, i)
-        return acc
+        re_sum, im_sum = (
+            sum(row[i] for i, row in enumerate(rows or ())) for rows in (self.re, self.im)
+        )
+        return GaussianRational(Fraction(re_sum, self.den), Fraction(im_sum, self.den))
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return self.im is None and not any(map(any, self.re))
 
     def scalar_value(self) -> GaussianRational | None:
         """The scalar c with self == c*I, or None."""
         if not self.is_square:
             return None
         c = self.entry(0, 0)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                expected = c if i == j else ZERO
-                if self.entry(i, j) != expected:
-                    return None
-        return c
+        return c if self == ExactMatrix.scalar_matrix(self.rows, c) else None
 
     def nonzero_count(self) -> int:
-        return sum(1 for x in self.entries if x)
+        if self.im is None:
+            return sum(len(row) - row.count(0) for row in self.re)
+        return sum(
+            1 for rrow, irow in zip(self.re, self.im) for x, y in zip(rrow, irow) if x or y
+        )
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ExactMatrix":
-        return ExactMatrix(
-            len(row_idx),
-            len(col_idx),
-            tuple(self.entry(i, j) for i in row_idx for j in col_idx),
-        )
+        pick = lambda rows: rows and [[rows[i][j] for j in col_idx] for i in row_idx]  # noqa: E731
+        return _from_ints(self.den, pick(self.re), pick(self.im))
+
+    def _key(self):
+        return (self.rows, self.cols, self.den, self.re, self.im)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return isinstance(other, ExactMatrix) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash(self._key())
+
+    def _token_rows(self) -> list[str]:
+        return [" ".join(x.token() for x in self.row_list(i)) for i in range(self.rows)]
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(self.entry(i, j).token() for j in range(self.cols))
-            for i in range(self.rows)
-        )
-        return f"ExactMatrix({self.rows}x{self.cols}: {body})"
+        return f"ExactMatrix({self.rows}x{self.cols}: {'; '.join(self._token_rows())})"
 
     # -- text exchange format --------------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"{self.rows} {self.cols}"]
-        for i in range(self.rows):
-            lines.append(" ".join(self.entry(i, j).token() for j in range(self.cols)))
-        return "\n".join(lines) + "\n"
+        return "\n".join([f"{self.rows} {self.cols}", *self._token_rows()]) + "\n"
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str], pos: int = 0) -> tuple["ExactMatrix", int]:
@@ -328,11 +314,13 @@ class ExactMatrix:
         if len(tokens) - pos < 2:
             raise ValueError("matrix text too short")
         rows, cols = int(tokens[pos]), int(tokens[pos + 1])
+        if rows <= 0 or cols <= 0:
+            raise ValueError(f"matrix header '{rows} {cols}' needs positive dimensions")
         end = pos + 2 + rows * cols
         body = tokens[pos + 2 : end]
         if len(body) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, found {len(body)}")
-        return cls(rows, cols, tuple(GaussianRational.parse(t) for t in body)), end
+        return cls(rows, cols, [GaussianRational.parse(t) for t in body]), end
 
     @classmethod
     def from_text(cls, text: str) -> "ExactMatrix":
@@ -430,15 +418,6 @@ class _IntEchelon:
         return [self._reduce(row, k + 1) for k, row in enumerate(self.rows)]
 
 
-def _vector_int_form(vec: Sequence[GaussianRational]) -> tuple[list[int], list[int] | None]:
-    den = 1
-    for x in vec:
-        den = lcm(den, x.re.denominator, x.im.denominator)
-    re_part = [x.re.numerator * (den // x.re.denominator) for x in vec]
-    im_part = [x.im.numerator * (den // x.im.denominator) for x in vec]
-    return re_part, (im_part if any(im_part) else None)
-
-
 class VectorSpan:
     """Incremental span of fixed-length Gaussian-rational vectors.
 
@@ -470,10 +449,13 @@ class VectorSpan:
         return vec
 
     def add(self, vec: Sequence[GaussianRational]) -> bool:
-        return self.add_int(*_vector_int_form(vec))
+        return self.add_int(*_vector_ints(vec)[1:])
 
     def contains(self, vec: Sequence[GaussianRational]) -> bool:
-        return self._echelon.contains(self._realify(*_vector_int_form(vec)))
+        return self.contains_int(*_vector_ints(vec)[1:])
+
+    def contains_int(self, re_part: list[int], im_part: list[int] | None) -> bool:
+        return self._echelon.contains(self._realify(re_part, im_part))
 
     def add_int(self, re_part: list[int], im_part: list[int] | None) -> bool:
         """Insert the Gaussian-integer vector re_part + i*im_part; True if it grew."""
@@ -505,17 +487,37 @@ class VectorSpan:
         return [piv for piv, _row in found], [row for _piv, row in found]
 
 
-def _row_span(rows: Iterable[Sequence[GaussianRational]], length: int) -> VectorSpan:
+def _span_of_rows(pairs: Iterable, length: int) -> VectorSpan:
+    """The span of Gaussian-integer rows given as (real row, imaginary row or None) pairs."""
     span = VectorSpan(length)
-    for row in rows:
-        span.add_int(*_vector_int_form(row))
+    for re_part, im_part in pairs:
+        span.add_int(re_part, im_part)
     return span
+
+
+def _vector_rows(vectors: Iterable[Sequence[GaussianRational]]):
+    return (_vector_ints(v)[1:] for v in vectors)
+
+
+def _matrix_rows(m: ExactMatrix, scale: int = 1):
+    """The rows of scale * m.den * m as (real row, imaginary row) integer pairs."""
+    im_rows = m.im or ((0,) * m.cols,) * m.rows
+    return zip(_int_scale(m.re, scale), _int_scale(im_rows, scale))
+
+
+def _flattened(mats: Sequence[ExactMatrix]) -> ExactMatrix:
+    """The matrix whose k-th row is mats[k] flattened row by row."""
+    den = lcm(*(m.den for m in mats))
+
+    def flat(m, rows):
+        return [den // m.den * x for row in rows or ((0,) * m.cols,) * m.rows for x in row]
+
+    return _from_ints(den, [flat(m, m.re) for m in mats], [flat(m, m.im) for m in mats])
 
 
 def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, int]:
     """Reduced row echelon form and rank, exact."""
-    span = _row_span(map(matrix.row_list, range(matrix.rows)), matrix.cols)
-    pivots, rows = span.reduced_basis()
+    pivots, rows = _span_of_rows(_matrix_rows(matrix), matrix.cols).reduced_basis()
     flat = [x for row in rows for x in row]
     flat.extend([ZERO] * ((matrix.rows - len(rows)) * matrix.cols))
     return ExactMatrix(matrix.rows, matrix.cols, flat), len(pivots)
@@ -523,8 +525,7 @@ def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, int]:
 
 def kernel_basis(matrix: ExactMatrix) -> list[Vector]:
     """A canonical basis of the right kernel of the matrix."""
-    span = _row_span(map(matrix.row_list, range(matrix.rows)), matrix.cols)
-    pivots, rows = span.reduced_basis()
+    pivots, rows = _span_of_rows(_matrix_rows(matrix), matrix.cols).reduced_basis()
     pivot_set = set(pivots)
     free = [j for j in range(matrix.cols) if j not in pivot_set]
     basis = []
@@ -542,8 +543,14 @@ def solve_columns(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix | None:
     m = a.cols
     if a.rows != b.rows:
         raise DimensionMismatch("row counts differ")
-    joined = (a.row_list(i) + b.row_list(i) for i in range(a.rows))
-    pivots, rows = _row_span(joined, m + b.cols).reduced_basis()
+    den = lcm(a.den, b.den)
+    joined = (
+        ([*a_re, *b_re], [*a_im, *b_im])
+        for (a_re, a_im), (b_re, b_im) in zip(
+            _matrix_rows(a, den // a.den), _matrix_rows(b, den // b.den)
+        )
+    )
+    pivots, rows = _span_of_rows(joined, m + b.cols).reduced_basis()
     if pivots and pivots[-1] >= m:
         return None
     if len(pivots) < m:
@@ -563,8 +570,8 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
-        rows = ([gr(x) for x in v] for v in vectors)
-        return cls(ambient_dim, tuple(_row_span(rows, ambient_dim).reduced_basis()[1]))
+        rows = _vector_rows([gr(x) for x in v] for v in vectors)
+        return cls(ambient_dim, tuple(_span_of_rows(rows, ambient_dim).reduced_basis()[1]))
 
     @property
     def dim(self) -> int:
@@ -572,8 +579,8 @@ class Subspace:
 
     def contains(self, vector: Sequence) -> bool:
         """True iff adding the vector to the basis leaves the rank unchanged."""
-        span = _row_span(self.basis, self.ambient_dim)
-        return not span.add_int(*_vector_int_form([gr(x) for x in vector]))
+        span = _span_of_rows(_vector_rows(self.basis), self.ambient_dim)
+        return not span.add_int(*_vector_ints([gr(x) for x in vector])[1:])
 
 
 # -- minimal polynomial and eigenspaces ------------------------------------
@@ -584,19 +591,15 @@ def minimal_polynomial(matrix: ExactMatrix) -> Poly:
     if not matrix.is_square:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
     n = matrix.rows
-    power = ExactMatrix.identity(n)
-    flats: list[Vector] = []
+    powers = [ExactMatrix.identity(n)]
     for k in range(n + 1):
-        flats.append(power.entries)
-        cols = ExactMatrix(len(flats), n * n, tuple(x for f in flats for x in f)).transpose()
-        target_matrix = power * matrix
-        target = ExactMatrix(1, n * n, target_matrix.entries).transpose()
-        sol = solve_columns(cols, target)
+        target_matrix = powers[-1] * matrix
+        sol = solve_columns(_flattened(powers).transpose(), _flattened([target_matrix]).transpose())
         if sol is not None:
             coeffs = [-sol.entry(j, 0) for j in range(k + 1)]
             coeffs.append(ONE)
             return Poly(coeffs)
-        power = target_matrix
+        powers.append(target_matrix)
     raise RuntimeError("minimal polynomial search did not terminate")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, RelationFailure
 from .gaussian import GaussianRational
 from .matrix import ExactMatrix
 from .pbw import CheckResult
@@ -148,7 +148,7 @@ def ensure_verified(rep: RacahRep) -> RacahRep:
     report = verify_presentation(rep)
     if not report.ok:
         failed = [c.identity for c in report.checks if not c.passed]
-        raise ValueError(f"presentation relations fail: {failed}")
+        raise RelationFailure(f"presentation relations fail: {failed}")
     return dataclasses.replace(rep, verified=True)
 
 
@@ -158,13 +158,12 @@ def central_values(rep: RacahRep) -> CentralValues:
     return _central_from_products(rep, _pair_products(rep))
 
 
-def casimirs(
-    rep: RacahRep, check_central: bool = True
-) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
+def casimirs(rep: RacahRep) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     """Evaluate the three symmetric central elements verbatim.
 
     Each is Delta^2 plus the symmetrized triple product, the square of the
-    distinguished generator, and the stated central corrections.
+    distinguished generator, and the stated central corrections.  Raises
+    RelationFailure unless each commutes with A, B, C and Delta.
     """
     rep = ensure_verified(rep)
     central = central_values(rep)
@@ -175,11 +174,10 @@ def casimirs(
     omega_a = d2 + (b * a * c + c * a * b) * half + a * a + b * ga - c * be - a * de
     omega_b = d2 + (c * b * a + a * b * c) * half + b * b + c * al - a * ga - b * de
     omega_c = d2 + (a * c * b + b * c * a) * half + c * c + a * be - b * al - c * de
-    if check_central:
-        for name, omega in (("Omega_A", omega_a), ("Omega_B", omega_b), ("Omega_C", omega_c)):
-            for op_name, op in rep.operators().items():
-                if not (omega * op - op * omega).is_zero():
-                    raise ValueError(f"{name} does not commute with {op_name}")
+    for name, omega in (("Omega_A", omega_a), ("Omega_B", omega_b), ("Omega_C", omega_c)):
+        for op_name, op in rep.operators().items():
+            if not (omega * op - op * omega).is_zero():
+                raise RelationFailure(f"{name} does not commute with {op_name}")
     return omega_a, omega_b, omega_c
 
 
@@ -242,6 +240,8 @@ def rep_from_text(text: str) -> RacahRep:
         label = tokens[pos]
         if label not in _BLOCK_ORDER:
             raise ValueError(f"unexpected block label {label!r}")
+        if label in blocks:
+            raise ValueError(f"repeated block label {label!r}")
         blocks[label], pos = ExactMatrix.from_tokens(tokens, pos + 1)
     missing = [name for name in _BLOCK_ORDER if name not in blocks]
     if missing:

@@ -242,17 +242,14 @@ def iso_class_from_traces(
     )
 
 
-def iso_class(rep: RacahRep, d: int, burnside_check: bool | None = None) -> IsoClass:
+def iso_class(rep: RacahRep, d: int) -> IsoClass:
     """Class of an irreducible quadruple of size d+1, from operator traces.
 
-    For d <= 6 irreducibility is certified by the closure oracle unless
-    explicitly disabled; for larger d the caller asserts it.
+    Irreducibility is certified by the closure oracle first.
     """
     if rep.dim != d + 1:
         raise ValueError(f"operator size {rep.dim} does not match d={d}")
-    if burnside_check is None:
-        burnside_check = d <= 6
-    if burnside_check and not burnside_irreducible(rep):
+    if not burnside_irreducible(rep):
         raise NotIrreducible("closure oracle says the module is reducible")
     return iso_class_from_traces(d, rep.A.trace(), rep.B.trace(), rep.C.trace())
 

@@ -16,8 +16,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import ConfigError, DimensionMismatch
-from .gaussian import GaussianRational, ONE, ZERO, gr
-from .matrix import ExactMatrix, commutator
+from .gaussian import GaussianRational, ZERO, gr
+from .matrix import ExactMatrix, _from_ints, commutator
 from .pbw import CheckResult
 from .racah import RacahRep, ensure_verified
 
@@ -269,34 +269,29 @@ def hypercube_space(D: int) -> HypercubeSpace:
     return HypercubeSpace(D, vertices, labels, frozenset(r1), frozenset(r2))
 
 
-def _rows_to_matrix(cells: dict[tuple[int, int], GaussianRational], n: int) -> ExactMatrix:
-    rows = [[ZERO] * n for _ in range(n)]
-    for (i, j), v in cells.items():
-        rows[i][j] = v
-    return ExactMatrix.from_rows(rows)
+def _rows_to_matrix(cells: set[tuple[int, int]], n: int) -> ExactMatrix:
+    """The n x n 0/1 matrix with ones at the given positions."""
+    rows = [[0] * n for _ in range(n)]
+    for i, j in cells:
+        rows[i][j] = 1
+    return _from_ints(1, rows, None)
 
 
 @lru_cache(maxsize=4)
-def build_hypercube(D: int, validate: bool | None = None) -> tuple[Sl2Rep, GraphOperators]:
-    """The module on the cube's vertex set plus the level-graph operators.
-
-    Dense construction; D is capped at MAX_DENSE_D.  With validate enabled
-    (default for D <= 8) the dual-route consistency checks run at build time.
-    """
+def _checked_hypercube(D: int) -> tuple[Sl2Rep, GraphOperators, tuple[CheckResult, ...]]:
+    """The dense cube build and its dual-route consistency checks, made once per D."""
     if D > MAX_DENSE_D:
         raise ConfigError(f"dense construction is capped at D = {MAX_DENSE_D}")
-    if validate is None:
-        validate = D <= 8
     space = hypercube_space(D)
     n = 1 << D
-    e_cells: dict[tuple[int, int], GaussianRational] = {}
-    f_cells: dict[tuple[int, int], GaussianRational] = {}
+    e_cells: set[tuple[int, int]] = set()
+    f_cells: set[tuple[int, int]] = set()
     for x in space.vertices:
         for bit in range(D):
             if x >> bit & 1:
-                e_cells[(x & ~(1 << bit), x)] = ONE
+                e_cells.add((x & ~(1 << bit), x))
             else:
-                f_cells[(x | (1 << bit), x)] = ONE
+                f_cells.add((x | (1 << bit), x))
     h = ExactMatrix.diagonal([D - 2 * x.bit_count() for x in space.vertices])
     rep = Sl2Rep(
         n,
@@ -305,44 +300,47 @@ def build_hypercube(D: int, validate: bool | None = None) -> tuple[Sl2Rep, Graph
         h,
         space.labels,
     )
-    aj_cells: dict[tuple[int, int], GaussianRational] = {}
-    ajbar_cells: dict[tuple[int, int], GaussianRational] = {}
+    aj_cells: set[tuple[int, int]] = set()
+    ajbar_cells: set[tuple[int, int]] = set()
     for x, y in space.r2:
-        if x.bit_count() == y.bit_count():
-            aj_cells[(x, y)] = ONE
-            aj_cells[(y, x)] = ONE
-        else:
-            ajbar_cells[(x, y)] = ONE
-            ajbar_cells[(y, x)] = ONE
+        cells = aj_cells if x.bit_count() == y.bit_count() else ajbar_cells
+        cells.update(((x, y), (y, x)))
     a2star = ExactMatrix.diagonal(
         [Fraction((D - 2 * x.bit_count()) ** 2 - D, 2) for x in space.vertices]
     )
     ops = GraphOperators(
         _rows_to_matrix(aj_cells, n), _rows_to_matrix(ajbar_cells, n), a2star
     )
-    if validate:
-        problems = [c.identity for c in hypercube_checks(rep, ops, space) if not c.passed]
-        if problems:
-            raise ArithmeticError(f"hypercube build inconsistency: {problems}")
-    else:
-        _require_relations(rep)
+    return rep, ops, tuple(hypercube_checks(rep, ops, space))
+
+
+def build_hypercube(D: int) -> tuple[Sl2Rep, GraphOperators]:
+    """The module on the cube's vertex set plus the level-graph operators.
+
+    Dense construction; D is capped at MAX_DENSE_D.  Every build runs the
+    dual-route consistency checks and raises if one fails.
+    """
+    rep, ops, checks = _checked_hypercube(D)
+    problems = [c.identity for c in checks if not c.passed]
+    if problems:
+        raise ArithmeticError(f"hypercube build inconsistency: {problems}")
     return rep, ops
 
 
 def _r2_split_operators(space: HypercubeSpace, n: int):
     """R2 sums split by level movement: below, equal, above."""
-    below: dict[tuple[int, int], GaussianRational] = {}
-    equal: dict[tuple[int, int], GaussianRational] = {}
-    above: dict[tuple[int, int], GaussianRational] = {}
+    below: set[tuple[int, int]] = set()
+    equal: set[tuple[int, int]] = set()
+    above: set[tuple[int, int]] = set()
     for x, y in space.r2:
         for src, dst in ((x, y), (y, x)):
             ks, kd = src.bit_count(), dst.bit_count()
             if kd < ks:
-                below[(dst, src)] = ONE
+                below.add((dst, src))
             elif kd == ks:
-                equal[(dst, src)] = ONE
+                equal.add((dst, src))
             else:
-                above[(dst, src)] = ONE
+                above.add((dst, src))
     return (
         _rows_to_matrix(below, n),
         _rows_to_matrix(equal, n),
@@ -355,13 +353,8 @@ def johnson_adjacency(D: int, k: int) -> ExactMatrix:
     verts = [sum(1 << (i - 1) for i in combo) for combo in combinations(range(1, D + 1), k)]
     verts.sort()
     index = {v: pos for pos, v in enumerate(verts)}
-    m = len(verts)
-    rows = [[ZERO] * m for _ in range(m)]
-    for v in verts:
-        for w in verts:
-            if (v ^ w).bit_count() == 2:
-                rows[index[v]][index[w]] = ONE
-    return ExactMatrix.from_rows(rows)
+    cells = {(index[v], index[w]) for v in verts for w in verts if (v ^ w).bit_count() == 2}
+    return _rows_to_matrix(cells, len(verts))
 
 
 def hypercube_checks(
@@ -433,8 +426,8 @@ def hypercube_checks(
 
 
 def verify_hypercube(D: int) -> list[CheckResult]:
-    rep, ops = build_hypercube(D, validate=False)
-    return hypercube_checks(rep, ops, hypercube_space(D))
+    """The consistency checks of the D-cube build, failed ones included."""
+    return list(_checked_hypercube(D)[2])
 
 
 # -- the halved cube -------------------------------------------------------
@@ -454,12 +447,9 @@ class HalvedCube:
 
 def _restrict(m: ExactMatrix, indices: tuple[int, ...], name: str) -> ExactMatrix:
     inside = set(indices)
-    for i, row in enumerate(m.sparse_rows()):
-        if i in inside:
-            continue
-        for j, _val in row:
-            if j in inside:
-                raise ArithmeticError(f"{name} does not preserve the subspace")
+    outside = [i for i in range(m.rows) if i not in inside]
+    if outside and not m.submatrix(outside, indices).is_zero():
+        raise ArithmeticError(f"{name} does not preserve the subspace")
     return m.submatrix(indices, indices)
 
 

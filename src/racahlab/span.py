@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatch
-from .matrix import ExactMatrix, VectorSpan, _from_int_form, _gauss_int_matmul
+from .matrix import ExactMatrix, VectorSpan, _from_ints, _gauss_int_matmul
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,10 @@ class ClosureResult:
     span: VectorSpan
 
     def contains(self, matrix: ExactMatrix) -> bool:
-        return self.span.contains(matrix.entries)
+        return self.span.contains_int(_flatten(matrix.re), _flatten(matrix.im))
 
 
-def _flatten(rows: list[list[int]] | None) -> list[int] | None:
+def _flatten(rows) -> list[int] | None:
     return None if rows is None else [x for row in rows for x in row]
 
 
@@ -50,7 +50,7 @@ def algebra_closure(gens: Sequence[ExactMatrix]) -> ClosureResult:
     for g in gens:
         if not g.is_square or g.rows != n:
             raise DimensionMismatch("generators must be square and equally sized")
-    scaled = [g.int_form()[1:] for g in gens]
+    scaled = [(g.re, g.im) for g in gens]
     identity = ([[int(i == j) for j in range(n)] for i in range(n)], None)
     span = VectorSpan(n * n)
     basis = []
@@ -68,4 +68,4 @@ def algebra_closure(gens: Sequence[ExactMatrix]) -> ClosureResult:
                     basis.append(prod)
                     fresh.append(prod)
         frontier = fresh
-    return ClosureResult(len(basis), tuple(_from_int_form(1, *b) for b in basis), span)
+    return ClosureResult(len(basis), tuple(_from_ints(1, *b) for b in basis), span)

@@ -144,11 +144,13 @@ def test_missing_required_argument(capsys):
         ["hypercube", "build", "--D", "1"],
         ["decompose", "--target", "Ln", "--n", "-1"],
         ["rd", "analyze", "--a", "1", "--b", "1", "--c", "1", "--d", "-1"],
+        ["racah", "verify", "--rep", "{repeated}"],
+        ["racah", "verify", "--rep", "{negative_header}"],
     ],
     ids=["zero-denominator-flag", "bad-token-flag", "unwritable-out", "bad-range",
          "export-under-a-file", "missing-rep", "missing-rep-leonard", "short-block", "zero-denominator-file",
          "mismatched-blocks", "cube-above-dense-cap", "verify-above-dense-cap", "cube-below-2",
-         "negative-highest-weight", "negative-rd-size"],
+         "negative-highest-weight", "negative-rd-size", "repeated-block-label", "negative-header"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     files = {
@@ -157,10 +159,15 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
         "short": tmp_path / "short.txt",
         "zero_den": tmp_path / "zero_den.txt",
         "ragged": tmp_path / "ragged.txt",
+        "repeated": tmp_path / "repeated.txt",
+        "negative_header": tmp_path / "negative_header.txt",
     }
     files["short"].write_text("A\n2 2\n1/1 0/1 0/1\n")
     files["zero_den"].write_text("A\n1 1\n1/0\n")
     files["ragged"].write_text("A 1 1 0 B 1 1 0 C 1 1 0 Delta 2 2 0 0 0 0\n")
+    # a later A block must not silently replace the first one
+    files["repeated"].write_text("A 1 1 5\nA 1 1 7\nB 1 1 0\nC 1 1 0\nDelta 1 1 0\n")
+    files["negative_header"].write_text("A\n2 -2\n1/1 0/1 0/1 1/1\nB 1 1 0 C 1 1 0 Delta 1 1 0\n")
     status = main([arg.format(**files) for arg in argv])
     err = capsys.readouterr().err
     assert status == 2

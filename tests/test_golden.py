@@ -1,0 +1,71 @@
+"""Golden outputs: CLI reports and exported matrices, compared byte for byte.
+
+The files under ``tests/golden/`` are the output of the commands below.
+Regenerate them only when a report is meant to change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from racahlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# golden file -> CLI arguments whose stdout it holds
+STDOUT_CASES = {
+    "suite_D2-5_d0-4_seed7.json": [
+        "suite",
+        "--targets", "thm1_8,thm8_4,thm8_7,prop2_4,lemma6_suite,thm6_9",
+        "--D", "2..5", "--d", "0..4", "--seed", "7",
+    ],
+    "hypercube_verify_D4.json": ["hypercube", "verify", "--D", "4"],
+    "decompose_hypercube_D4.json": ["decompose", "--target", "hypercube", "--D", "4"],
+    "decompose_halved_D4.json": ["decompose", "--target", "halved", "--D", "4"],
+    "compare_te_re_D5.json": ["compare-te-re", "--D", "5"],
+    "rd_build_d2.txt": ["rd", "build", "--a=1/2+1*i", "--b=1/3", "--c=-1+1/2*i", "--d", "2"],
+    # reads the quadruple of the case above
+    "leonard_check_d2.json": ["leonard", "check", "--rep", str(GOLDEN / "rd_build_d2.txt")],
+}
+
+EXPORT_D = 4
+EXPORT_CASES = [f"cube_D{EXPORT_D}_{name}.txt" for name in ("E", "F", "H", "A2J", "A2Jbar", "A2star")]
+
+
+def _stdout_of(argv: list[str]) -> str:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        main(argv)
+    return buffer.getvalue()
+
+
+def _export(directory: Path) -> None:
+    _stdout_of(["hypercube", "build", "--D", str(EXPORT_D), "--export", str(directory)])
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_CASES) + EXPORT_CASES)
+def test_output_matches_golden(name, tmp_path):
+    if name in STDOUT_CASES:
+        got = _stdout_of(STDOUT_CASES[name])
+    else:
+        _export(tmp_path)
+        got = (tmp_path / name).read_text()
+    assert got == (GOLDEN / name).read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    # rd_build_d2.txt first: the Leonard case reads it
+    for name, argv in sorted(STDOUT_CASES.items(), key=lambda kv: kv[0] != "rd_build_d2.txt"):
+        (GOLDEN / name).write_text(_stdout_of(argv))
+    with tempfile.TemporaryDirectory() as tmp:
+        _export(Path(tmp))
+        for name in EXPORT_CASES:
+            (GOLDEN / name).write_text((Path(tmp) / name).read_text())

@@ -1,13 +1,15 @@
 """Exact linear algebra: row reduction, kernels, minimal polynomials,
 eigen splitting and Gaussian-rational root search."""
 
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from racahlab.errors import RootsMismatch
+from racahlab.errors import DimensionMismatch, RootsMismatch
 from racahlab.gaussian import GaussianRational, I, gr
 from racahlab.matrix import (
     ExactMatrix,
@@ -287,6 +289,158 @@ def test_subspace_canonical_equality():
     assert a.dim == 2
     assert a.contains([2, 2, 5])
     assert not a.contains([1, 0, 0])
+
+
+# -- differential test against per-entry Gaussian-rational arithmetic ----------
+
+
+class _EntryMatrix:
+    """Reference matrix: a tuple of GaussianRational entries, combined entry by entry."""
+
+    def __init__(self, rows, cols, entries):
+        self.rows, self.cols, self.entries = rows, cols, tuple(entries)
+
+    def entry(self, i, j):
+        return self.entries[i * self.cols + j]
+
+    def map(self, f):
+        return _EntryMatrix(self.rows, self.cols, map(f, self.entries))
+
+    def zip_with(self, other, f):
+        return _EntryMatrix(self.rows, self.cols, map(f, self.entries, other.entries))
+
+    def matmul(self, other):
+        return _EntryMatrix(
+            self.rows,
+            other.cols,
+            (
+                sum((self.entry(i, k) * other.entry(k, j) for k in range(self.cols)), gr(0))
+                for i in range(self.rows)
+                for j in range(other.cols)
+            ),
+        )
+
+    def apply(self, vec):
+        return tuple(
+            sum((self.entry(i, j) * vec[j] for j in range(self.cols)), gr(0))
+            for i in range(self.rows)
+        )
+
+    def transpose(self):
+        return self.submatrix(range(self.cols), range(self.rows), flip=True)
+
+    def submatrix(self, row_idx, col_idx, flip=False):
+        pick = (lambda i, j: self.entry(j, i)) if flip else self.entry
+        return _EntryMatrix(len(row_idx), len(col_idx), (pick(i, j) for i in row_idx for j in col_idx))
+
+    def trace(self):
+        return sum((self.entry(i, i) for i in range(self.rows)), gr(0))
+
+    def scalar_value(self):
+        if self.rows != self.cols:
+            return None
+        c = self.entry(0, 0)
+        ok = all(self.entry(i, j) == (c if i == j else 0) for i in range(self.rows) for j in range(self.cols))
+        return c if ok else None
+
+
+def _assert_canonical(m):
+    """The stored form (re + i*im) / den is the unique one."""
+    assert len(m.re) == m.rows and all(len(row) == m.cols for row in m.re)
+    if m.im is not None:
+        assert len(m.im) == m.rows and all(len(row) == m.cols for row in m.im)
+        assert any(map(any, m.im))
+    parts = [x for rows in (m.re, m.im or ()) for row in rows for x in row]
+    assert m.den > 0 and gcd(m.den, *parts) == 1
+
+
+def _assert_same(got, want):
+    assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
+    _assert_canonical(got)
+    rebuilt = ExactMatrix(want.rows, want.cols, want.entries)
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+
+
+# mixed denominators up to 4, and purely imaginary parts too
+oracle_real = st.builds(GaussianRational, st.fractions(-3, 3, max_denominator=4))
+oracle_complex = st.builds(
+    GaussianRational,
+    st.fractions(-3, 3, max_denominator=4),
+    st.fractions(-2, 2, max_denominator=3),
+)
+oracle_scalars = st.one_of(
+    st.integers(-3, 3), st.just(gr(0)), oracle_real, oracle_complex, oracle_complex.map(lambda x: x - gr(x.re))
+)
+
+
+@st.composite
+def _oracle_operands(draw):
+    scalar = draw(oracle_scalars)
+
+    def matrix(rows, cols):
+        kind = draw(st.sampled_from(["real", "complex", "zero", "scalar"]))
+        if kind == "zero":
+            flat = [gr(0)] * (rows * cols)
+        elif kind == "scalar":
+            flat = [gr(scalar) if i == j else gr(0) for i in range(rows) for j in range(cols)]
+        else:
+            values = st.one_of(st.just(gr(0)), oracle_real if kind == "real" else oracle_complex)
+            flat = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+        return ExactMatrix(rows, cols, flat), _EntryMatrix(rows, cols, flat)
+
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    a, b = matrix(rows, cols), matrix(rows, cols)
+    c = matrix(cols, draw(st.integers(1, 5)))
+    vec = draw(st.lists(st.one_of(st.just(gr(0)), oracle_complex), min_size=cols, max_size=cols))
+    row_idx = draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=rows))
+    col_idx = draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=cols))
+    return a, b, c, scalar, vec, row_idx, col_idx
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_operands())
+def test_matrix_operations_match_entry_oracle(operands):
+    (a, ref_a), (b, ref_b), (c, ref_c), scalar, vec, row_idx, col_idx = operands
+    s = gr(scalar)
+    for m, ref in ((a, ref_a), (b, ref_b), (c, ref_c)):
+        _assert_same(m, ref)
+    _assert_same(a + b, ref_a.zip_with(ref_b, operator.add))
+    _assert_same(a - b, ref_a.zip_with(ref_b, operator.sub))
+    _assert_same(-a, ref_a.map(operator.neg))
+    _assert_same(a * scalar, ref_a.map(lambda x: x * s))
+    _assert_same(scalar * a, ref_a.map(lambda x: s * x))
+    _assert_same(a * c, ref_a.matmul(ref_c))
+    assert a.apply(vec) == ref_a.apply(vec)
+    _assert_same(a.transpose(), ref_a.transpose())
+    _assert_same(a.submatrix(row_idx, col_idx), ref_a.submatrix(row_idx, col_idx))
+    if a.is_square:
+        assert a.trace() == ref_a.trace()
+    else:
+        with pytest.raises(DimensionMismatch):
+            a.trace()
+    assert a.is_zero() == (not any(ref_a.entries))
+    assert a.nonzero_count() == sum(1 for x in ref_a.entries if x)
+    assert a.scalar_value() == ref_a.scalar_value()
+    assert [a.entry(i, j) for i in range(a.rows) for j in range(a.cols)] == list(ref_a.entries)
+    assert (a == b) == (ref_a.entries == ref_b.entries)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda r: st.integers(1, 6).flatmap(lambda c: _matrices(r, c, oracle_complex))))
+def test_matrix_text_roundtrip_property(m):
+    text = m.to_text()
+    assert ExactMatrix.from_text(text) == m
+    # line breaks carry no meaning
+    assert ExactMatrix.from_text(" ".join(text.split())).to_text() == text
+
+
+def test_matrix_text_rejects_a_nonpositive_header():
+    with pytest.raises(ValueError, match="positive dimensions"):
+        ExactMatrix.from_text("2 -2 1/1 0/1 0/1 1/1")
+    with pytest.raises(ValueError):
+        ExactMatrix.from_text("2 x 1/1 0/1")
 
 
 def test_matrix_text_roundtrip():

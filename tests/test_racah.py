@@ -4,9 +4,10 @@ central elements, and the auxiliary relations."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from racahlab.errors import DimensionMismatch
-from racahlab.gaussian import gr
+from racahlab.errors import DimensionMismatch, RelationFailure
+from racahlab.gaussian import GaussianRational, gr
 from racahlab.matrix import ExactMatrix
 from racahlab.racah import (
     RacahRep,
@@ -48,8 +49,9 @@ def test_counterexample_fails():
     assert not report.ok
     failed = [c.identity for c in report.checks if not c.passed]
     assert "[A,B] = 2*Delta" in failed
-    with pytest.raises(ValueError):
+    with pytest.raises(RelationFailure) as failure:
         ensure_verified(rep)
+    assert isinstance(failure.value, ValueError)
 
 
 def test_dimension_mismatch_rejected():
@@ -143,3 +145,37 @@ def test_rep_text_blocks_with_entries_on_one_line(symmetric_rep):
 def test_rep_text_rejects_bad_labels():
     with pytest.raises(ValueError):
         rep_from_text("X\n1 1\n1/1\n")
+
+
+def test_rep_text_rejects_repeated_labels():
+    with pytest.raises(ValueError, match="repeated block label 'A'"):
+        rep_from_text("A 1 1 5\nA 1 1 7\nB 1 1 0\nC 1 1 0\nDelta 1 1 0\n")
+
+
+_text_scalars = st.one_of(
+    st.just(gr(0)),
+    st.builds(
+        GaussianRational,
+        st.fractions(-5, 5, max_denominator=7),
+        st.one_of(st.just(0), st.fractions(-5, 5, max_denominator=7)),
+    ),
+)
+
+
+@st.composite
+def _quadruples(draw):
+    n = draw(st.integers(1, 4))
+    blocks = [
+        ExactMatrix(n, n, draw(st.lists(_text_scalars, min_size=n * n, max_size=n * n)))
+        for _ in range(4)
+    ]
+    return RacahRep(n, *blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quadruples())
+def test_rep_text_roundtrip_property(rep):
+    text = rep_to_text(rep)
+    assert rep_from_text(text) == rep
+    # tokens may be laid out on lines in any way
+    assert rep_to_text(rep_from_text(" ".join(text.split()))) == text

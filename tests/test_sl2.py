@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from racahlab import sl2
 from racahlab.gaussian import gr
+from racahlab.pbw import CheckResult
 from racahlab.matrix import ExactMatrix, commutator
 from racahlab.racah import central_values, verify_presentation
 from racahlab.sl2 import (
@@ -132,6 +134,42 @@ class TestHypercube:
     def test_cap(self):
         with pytest.raises(ValueError):
             build_hypercube(13)
+
+
+@pytest.fixture
+def counted_checks(monkeypatch):
+    """An empty cube cache and a hypercube_checks that records each D it checks.
+
+    Appending to ``planted`` adds those results to every later pass.
+    """
+    seen, planted = [], []
+    original = sl2.hypercube_checks
+
+    def counted(rep, ops, space):
+        seen.append(space.D)
+        return original(rep, ops, space) + planted
+
+    monkeypatch.setattr(sl2, "hypercube_checks", counted)
+    sl2._checked_hypercube.cache_clear()
+    yield seen, planted
+    sl2._checked_hypercube.cache_clear()
+
+
+def test_build_and_verify_share_one_checked_build(counted_checks):
+    seen, _planted = counted_checks
+    built = build_hypercube(3)
+    checks = verify_hypercube(3)
+    assert build_hypercube(3) == built
+    assert seen == [3]
+    assert checks and all(c.passed for c in checks)
+
+
+def test_failed_build_check_raises_but_is_reported(counted_checks):
+    _seen, planted = counted_checks
+    planted.append(CheckResult("planted failure", False, 1))
+    assert [c.identity for c in verify_hypercube(2) if not c.passed] == ["planted failure"]
+    with pytest.raises(ArithmeticError, match="planted failure"):
+        build_hypercube(2)
 
 
 def test_halved_cube_dimensions():
