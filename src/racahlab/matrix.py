@@ -648,50 +648,6 @@ def eigen_split(matrix: ExactMatrix, roots: Sequence) -> EigenSplit:
 # -- Gaussian-rational root finding ------------------------------------------
 
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _gaussian_divides(d: tuple[int, int], z: tuple[int, int]) -> bool:
-    a, b = d
-    c, e = z
-    n = a * a + b * b
-    re = c * a + e * b
-    im = e * a - c * b
-    return n != 0 and re % n == 0 and im % n == 0
-
-
-def _gaussian_int_divisors(z: tuple[int, int]) -> list[tuple[int, int]]:
-    """Divisors of a nonzero Gaussian integer, up to unit multiples."""
-    a, b = z
-    norm = a * a + b * b
-    found = []
-    for m in _int_divisors(norm):
-        u = 0
-        while u * u <= m:
-            v_sq = m - u * u
-            v = isqrt(v_sq)
-            if v * v == v_sq:
-                cand = (u, v)
-                if cand != (0, 0) and _gaussian_divides(cand, z):
-                    found.append(cand)
-                if v and u != v:
-                    cand = (v, u)
-                    if _gaussian_divides(cand, z):
-                        found.append(cand)
-            u += 1
-    return found
-
-
 @dataclass(frozen=True)
 class RootSearch:
     """All Gaussian-rational roots and whether the polynomial splits."""
@@ -700,48 +656,88 @@ class RootSearch:
     splits: bool
 
 
-_UNITS = (
-    GaussianRational(1),
-    GaussianRational(-1),
-    GaussianRational(0, 1),
-    GaussianRational(0, -1),
-)
+def _eval_mod(f: Sequence[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _lift(f: Sequence[int], r: int, p: int, modulus: int) -> int:
+    """Newton-lift a simple root r of f mod p to the root mod modulus = p^(2^j)."""
+    df = [k * c for k, c in enumerate(f)][1:]
+    m = p
+    while m < modulus:
+        m *= m
+        r = (r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m
+    return r
+
+
+def _lifting_prime(coeffs: Sequence[tuple[int, int]], norm_lead: int):
+    """The least prime P = 1 (mod 4) not dividing norm_lead at which both images
+    of the squarefree coeffs under i -> +-s (s^2 = -1 mod P) have only simple
+    roots mod P; only finitely many primes fail.  P does not divide
+    norm_lead = lead(s) * lead(-s), so neither image drops degree.
+
+    Returns (P, s, roots of the +s image, roots of the -s image), the roots
+    found by trying every residue.
+    """
+    p = 1
+    while True:
+        p += 4
+        if norm_lead % p == 0 or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+            continue
+        s = next(x for x in range(2, p) if x * x % p == p - 1)
+        images = [[(a + b * t) % p for a, b in coeffs] for t in (s, -s)]
+        roots = [[r for r in range(p) if not _eval_mod(f, r, p)] for f in images]
+        derivs = [[k * c for k, c in enumerate(f)][1:] for f in images]
+        if all(_eval_mod(df, r, p) for df, rs in zip(derivs, roots) for r in rs):
+            return p, s, roots[0], roots[1]
 
 
 def rational_roots(p: Poly) -> RootSearch:
-    """Roots of p in the Gaussian rationals by divisor search.
+    """All roots of p in the Gaussian rationals, by Hensel lifting (Loos 1983).
 
-    Clears denominators, then tests unit multiples of divisor quotients of
-    the extreme coefficients.  Reports whether p splits completely.
+    Completeness: a root z = u/v of the squarefree part q, in lowest terms in
+    the UFD Z[i], has v | lead(q), so L*z is a Gaussian integer (L = N(lead));
+    its parts are bounded by L*R (R a Cauchy bound) and read off mod P^k > 4*L*R.
     """
     if p.is_zero:
         raise ValueError("root search requires a nonzero polynomial")
     if p.degree == 0:
         return RootSearch((), True)
-    den = 1
-    for c in p.coeffs:
-        den = lcm(den, c.re.denominator, c.im.denominator)
-    ints = [(int(c.re * den), int(c.im * den)) for c in p.coeffs]
+    q = p // p.gcd(p.derivative())
+    _den, re_part, im_part = _vector_ints(q.coeffs)
+    coeffs = list(zip(re_part, im_part or [0] * len(re_part)))
     roots: list[GaussianRational] = []
-    low = 0
-    while ints[low] == (0, 0):
-        low += 1
-    if low > 0:
+    if coeffs[0] == (0, 0):
         roots.append(ZERO)
-    lead = ints[-1]
-    const = ints[low]
-    candidates: set[GaussianRational] = set()
-    num_divs = _gaussian_int_divisors(const)
-    den_divs = _gaussian_int_divisors(lead)
-    for nd in num_divs:
-        num = GaussianRational(nd[0], nd[1])
-        for dd in den_divs:
-            base = num / GaussianRational(dd[0], dd[1])
-            for unit in _UNITS:
-                candidates.add(base * unit)
-    for cand in sorted(candidates, key=lambda c: c.sort_key()):
-        if not p(cand):
-            roots.append(cand)
-    multiplicity = sum(p.root_multiplicity(r) for r in roots)
-    ordered = tuple(sorted(set(roots), key=lambda c: c.sort_key()))
-    return RootSearch(ordered, multiplicity == p.degree)
+        coeffs = coeffs[1:]
+    if len(coeffs) > 1:
+        lead_re, lead_im = coeffs[-1]
+        norm_lead = lead_re * lead_re + lead_im * lead_im
+        top = max(x * x + y * y for x, y in coeffs[:-1])
+        # |L*z| <= L*R with the Cauchy bound R = 1 + max|c_k| / |lead| rounded up
+        bound = norm_lead * (2 + isqrt(-(-top // norm_lead)))
+        prime, s, plus, minus = _lifting_prime(coeffs, norm_lead)
+        modulus = prime
+        while modulus <= 4 * bound:
+            modulus *= modulus
+        s = _lift((1, 0, 1), s, prime, modulus)
+        images = [[(a + b * t) % modulus for a, b in coeffs] for t in (s, -s)]
+        plus = [_lift(images[0], r, prime, modulus) for r in plus]
+        minus = [_lift(images[1], r, prime, modulus) for r in minus]
+        half, half_s = pow(2, -1, modulus), pow(2 * s, -1, modulus)
+        for r1 in plus:
+            for r2 in minus:
+                # the image of L*z under i -> +-s is L*r1, L*r2
+                x = norm_lead * (r1 + r2) * half % modulus
+                y = norm_lead * (r1 - r2) * half_s % modulus
+                x -= modulus if 2 * x > modulus else 0
+                y -= modulus if 2 * y > modulus else 0
+                if x * x + y * y <= bound * bound:
+                    z = GaussianRational(Fraction(x, norm_lead), Fraction(y, norm_lead))
+                    if not p(z):
+                        roots.append(z)
+    ordered = tuple(sorted(roots, key=lambda c: c.sort_key()))
+    return RootSearch(ordered, len(ordered) == q.degree)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from racahlab import leonard, rd
 from racahlab.cli import build_parser, main, run_suite, SuiteConfig, SUITE_TARGETS
+from racahlab.gaussian import GaussianRational
 
 
 def _run(capsys, *argv):
@@ -46,6 +48,34 @@ def test_rd_build_and_roundtrip(tmp_path, capsys):
     status, out = _run(capsys, "leonard", "check", "--rep", str(rep_file))
     assert status == 0
     assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_hint_free_leonard_check_matches_hinted(d, tmp_path, capsys):
+    # this draw's eigenvalues have large Gaussian divisors; a divisor search ran for minutes
+    rep_file = tmp_path / "rep.txt"
+    abc = ["--a=2/3+1/3*i", "--b=-2+1*i", "--c=3+1*i"]
+    status, _ = _run(capsys, "rd", "build", *abc, "--d", str(d), "--out", str(rep_file))
+    assert status == 0
+    params = rd.RdParams(*(GaussianRational.parse(arg.split("=")[1]) for arg in abc), d)
+    rep = rd.construct(params)
+    hinted = leonard.check(rep.A, rep.B, rep.C, hints=rd.leonard_hints(params)).passed
+
+    status, out = _run(capsys, "leonard", "check", "--rep", str(rep_file))
+    assert json.loads(out)["pass"] is hinted
+    assert status == (0 if hinted else 1)
+
+
+def test_leonard_check_non_split_exits_1_with_one_line(tmp_path, capsys):
+    # A^2 = 2, so the minimal polynomial of A is x^2 - 2
+    rep_file = tmp_path / "rep.txt"
+    rep_file.write_text("A 2 2 0 2 1 0\nB 2 2 1 0 0 0\nC 2 2 0 0 0 1\nDelta 2 2 0 0 0 0\n")
+    status = main(["leonard", "check", "--rep", str(rep_file)])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: minimal polynomial does not split")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_rd_analyze_fields(capsys):

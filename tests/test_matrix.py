@@ -4,7 +4,7 @@ eigen splitting and Gaussian-rational root search."""
 import operator
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +13,9 @@ from racahlab.errors import DimensionMismatch, RootsMismatch
 from racahlab.gaussian import GaussianRational, I, gr
 from racahlab.matrix import (
     ExactMatrix,
+    RootSearch,
     Subspace,
+    _lifting_prime,
     eigen_split,
     kernel_basis,
     minimal_polynomial,
@@ -280,6 +282,112 @@ class TestRationalRoots:
         result = rational_roots(p)
         assert result.roots == (gr(2),)
         assert not result.splits
+
+    def test_prime_search_passes_two_primes(self):
+        # 5 | N(lead) = 25 rules out 5, and 1 = 14 (mod 13) is a double root mod 13
+        p = Poly.from_roots([1, 14]) * 5
+        coeffs = [(int(c.re), int(c.im)) for c in p.coeffs]
+        assert _lifting_prime(coeffs, 25)[0] == 17
+        assert rational_roots(p) == RootSearch((gr(1), gr(14)), True)
+
+
+# -- differential test against the divisor-search oracle -----------------------
+
+
+def _int_divisors(n):
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def _gaussian_divides(d, z):
+    a, b = d
+    c, e = z
+    n = a * a + b * b
+    re = c * a + e * b
+    im = e * a - c * b
+    return n != 0 and re % n == 0 and im % n == 0
+
+
+def _gaussian_int_divisors(z):
+    """Divisors of a nonzero Gaussian integer, up to unit multiples."""
+    a, b = z
+    norm = a * a + b * b
+    found = []
+    for m in _int_divisors(norm):
+        u = 0
+        while u * u <= m:
+            v_sq = m - u * u
+            v = isqrt(v_sq)
+            if v * v == v_sq:
+                cand = (u, v)
+                if cand != (0, 0) and _gaussian_divides(cand, z):
+                    found.append(cand)
+                if v and u != v:
+                    cand = (v, u)
+                    if _gaussian_divides(cand, z):
+                        found.append(cand)
+            u += 1
+    return found
+
+
+def _divisor_search(p):
+    """Reference root search: test unit multiples of divisor quotients of the
+    extreme coefficients; count multiplicities to decide whether p splits."""
+    if p.degree == 0:
+        return RootSearch((), True)
+    den = lcm(*(c.re.denominator for c in p.coeffs), *(c.im.denominator for c in p.coeffs))
+    ints = [(int(c.re * den), int(c.im * den)) for c in p.coeffs]
+    roots = []
+    low = 0
+    while ints[low] == (0, 0):
+        low += 1
+    if low > 0:
+        roots.append(gr(0))
+    candidates = set()
+    for nd in _gaussian_int_divisors(ints[low]):
+        for dd in _gaussian_int_divisors(ints[-1]):
+            base = GaussianRational(*nd) / GaussianRational(*dd)
+            for unit in (gr(1), gr(-1), I, -I):
+                candidates.add(base * unit)
+    roots += [c for c in candidates if not p(c)]
+    multiplicity = sum(p.root_multiplicity(r) for r in roots)
+    ordered = tuple(sorted(set(roots), key=lambda c: c.sort_key()))
+    return RootSearch(ordered, multiplicity == p.degree)
+
+
+small_roots = st.builds(
+    lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)),
+    st.integers(-3, 3),
+    st.integers(-2, 2),
+    st.integers(1, 3),
+)
+
+
+@st.composite
+def _root_search_polys(draw):
+    roots = draw(st.lists(small_roots, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        roots.append(draw(st.sampled_from(roots)))
+    p = Poly.from_roots(roots)
+    quadratic = draw(st.sampled_from([None, (-2, 0, 1), (1, 1, 1)]))  # x^2-2, x^2+x+1
+    if quadratic is not None:
+        p = p * Poly(quadratic)
+    scalar = draw(small_roots.filter(bool))
+    return p * scalar
+
+
+@settings(max_examples=150, deadline=None)
+@given(_root_search_polys())
+def test_root_search_matches_divisor_oracle(p):
+    assert rational_roots(p) == _divisor_search(p)
 
 
 def test_subspace_canonical_equality():
