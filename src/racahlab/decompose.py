@@ -442,25 +442,13 @@ class CertifiedPart:
 
 def restrict_operator(op: ExactMatrix, vectors: list[Vector]) -> ExactMatrix:
     """Matrix of op on the span of the vectors; raises if not invariant."""
-    k = len(vectors)
-    dim = len(vectors[0])
-    images = [op.apply(v) for v in vectors]
-    support = sorted(
-        {i for v in vectors for i in range(dim) if v[i]}
-        | {i for img in images for i in range(dim) if img[i]}
-    )
-    basis_sub = ExactMatrix.from_rows(
-        [[vectors[j][i] for j in range(k)] for i in support]
-    )
-    image_sub = ExactMatrix.from_rows(
-        [[images[j][i] for j in range(k)] for i in support]
-    )
-    sol = solve_columns(basis_sub, image_sub)
+    basis = ExactMatrix.from_rows(vectors).transpose()
+    images = op * basis
+    sol = solve_columns(basis, images)
     if sol is None:
         raise ArithmeticError("operator does not preserve the subspace")
-    for j in range(k):
-        if _combine([sol.entry(i, j) for i in range(k)], vectors) != images[j]:
-            raise ArithmeticError("restriction verification failed")
+    if basis * sol != images:
+        raise ArithmeticError("restriction verification failed")
     return sol
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, RootsMismatch
@@ -246,10 +247,22 @@ class ExactMatrix:
         return _from_ints(self.den * other.den, re_part, im_part)
 
     def apply(self, vec: Sequence[GaussianRational]) -> Vector:
-        """Matrix-vector product: the matrix product against one column."""
+        """Matrix-vector product, by Gaussian-integer dot products with the stored rows."""
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        return self._matmul(ExactMatrix(self.cols, 1, vec)).entries
+        vden, v_re, v_im = _vector_ints(vec)
+
+        def dots(rows, v):
+            return [sum(map(mul, row, v)) for row in rows]
+
+        # (re + i*im)(v_re + i*v_im) = re*v_re - im*v_im + i*(re*v_im + im*v_re)
+        re_part = dots(self.re, v_re)
+        im_part = dots(self.re, v_im) if v_im else [0] * self.rows
+        if self.im is not None:
+            if v_im:
+                re_part = [x - y for x, y in zip(re_part, dots(self.im, v_im))]
+            im_part = [x + y for x, y in zip(im_part, dots(self.im, v_re))]
+        return tuple(map(_scalar_maker(self.den * vden), re_part, im_part))
 
     # -- structure ------------------------------------------------------
 
@@ -421,32 +434,56 @@ class _IntEchelon:
 class VectorSpan:
     """Incremental span of fixed-length Gaussian-rational vectors.
 
-    A vector re + i*im is stored realified in interleaved coordinates
-    (re_0, im_0, re_1, im_1, ...) next to its i-multiple, so the rational
-    span of the stored rows is the realification of the Gaussian-rational
-    span.
+    While every vector added is real, the echelon holds the real integer
+    rows as they are.  The first vector with an imaginary part realifies
+    the span once: from then on a vector re + i*im is stored in
+    interleaved coordinates (re_0, im_0, re_1, im_1, ...) next to its
+    i-multiple, so the rational span of the stored rows is the
+    realification of the Gaussian-rational span.
     """
 
     def __init__(self, length: int):
         self.length = length
         self._echelon = _IntEchelon()
+        self._complex = False
 
     @property
     def rank(self) -> int:
         # Realified rows come in (v, i*v) pairs, so the rank over the
-        # Gaussian rationals is half the integer rank.
+        # Gaussian rationals is then half the integer rank.
         r = self._echelon.rank
-        assert r % 2 == 0
-        return r // 2
+        return r // 2 if self._complex else r
 
-    def _realify(self, re_part: list[int], im_part: list[int] | None) -> list[int]:
+    def _checked(self, re_part: Sequence[int]) -> list[int]:
         if len(re_part) != self.length:
             raise DimensionMismatch("vector length does not match the span")
+        return list(re_part)
+
+    def _interleave(self, re_part: Sequence[int], im_part: Sequence[int] | None) -> list[int]:
         vec = [0] * (2 * self.length)
-        vec[::2] = re_part
+        vec[::2] = self._checked(re_part)
         if im_part is not None:
             vec[1::2] = im_part
         return vec
+
+    def _realify(self) -> None:
+        """Switch to interleaved coordinates.
+
+        Stored row r with pivot p becomes (r, 0) with pivot 2p followed by
+        (0, r) with pivot 2p + 1.  Each is zero at the images of the earlier
+        pivots, so no elimination is needed, and the echelon is row for row
+        the one that realifying every vector from the start would build.
+        """
+        real, echelon = self._echelon, _IntEchelon()
+        for row, piv, pval in zip(real.rows, real.pivots, real.pivot_values):
+            for offset in (0, 1):
+                vec = [0] * (2 * self.length)
+                vec[offset::2] = row
+                echelon.rows.append(vec)
+                echelon.pivots.append(2 * piv + offset)
+                echelon.pivot_values.append(pval)
+        self._echelon = echelon
+        self._complex = True
 
     def add(self, vec: Sequence[GaussianRational]) -> bool:
         return self.add_int(*_vector_ints(vec)[1:])
@@ -454,12 +491,21 @@ class VectorSpan:
     def contains(self, vec: Sequence[GaussianRational]) -> bool:
         return self.contains_int(*_vector_ints(vec)[1:])
 
-    def contains_int(self, re_part: list[int], im_part: list[int] | None) -> bool:
-        return self._echelon.contains(self._realify(re_part, im_part))
+    def contains_int(self, re_part: Sequence[int], im_part: Sequence[int] | None) -> bool:
+        if self._complex:
+            return self._echelon.contains(self._interleave(re_part, im_part))
+        # A real span holds re + i*im iff it holds re and im.
+        return self._echelon.contains(self._checked(re_part)) and (
+            im_part is None or self._echelon.contains(self._checked(im_part))
+        )
 
-    def add_int(self, re_part: list[int], im_part: list[int] | None) -> bool:
+    def add_int(self, re_part: Sequence[int], im_part: Sequence[int] | None) -> bool:
         """Insert the Gaussian-integer vector re_part + i*im_part; True if it grew."""
-        vec = self._realify(re_part, im_part)
+        if not self._complex:
+            if im_part is None or not any(im_part):
+                return self._echelon.add(self._checked(re_part))
+            self._realify()
+        vec = self._interleave(re_part, im_part)
         grew = self._echelon.add(vec)
         if grew:
             # i * (re + i*im) = -im + i*re
@@ -476,13 +522,15 @@ class VectorSpan:
         pivot p realifies to a rational reduced row with pivot 2p, and its
         i-multiple to one with pivot 2p + 1.  So the rational reduced rows
         with even pivots, de-interleaved, are the Gaussian-rational ones.
+        While the span is real, its reduced rows are the rows themselves.
         """
-        echelon = self._echelon
+        step = 2 if self._complex else 1
         found = []
-        for piv, row in zip(echelon.pivots, echelon.reduced()):
-            if piv % 2 == 0:
+        for piv, row in zip(self._echelon.pivots, self._echelon.reduced()):
+            if piv % step == 0:
                 wrap = _scalar_maker(row[piv])
-                found.append((piv // 2, tuple(map(wrap, row[::2], row[1::2]))))
+                im_part = row[1::2] if self._complex else repeat(0)
+                found.append((piv // step, tuple(map(wrap, row[::step], im_part))))
         found.sort(key=lambda pair: pair[0])
         return [piv for piv, _row in found], [row for _piv, row in found]
 

@@ -1,10 +1,11 @@
 """Algebra closure by span saturation.
 
 The closure grows a ``VectorSpan`` (defined with the one exact elimination
-kernel in ``matrix``): each word is flattened to a Gaussian-integer vector,
-realified in interleaved coordinates (re_0, im_0, re_1, im_1, ...) and, if
-it enlarges the span, stored together with its i-multiple, so membership
-over the Gaussian rationals is a rational rank test on integer rows.
+kernel in ``matrix``): each word is flattened to a Gaussian-integer vector
+and kept if it enlarges the span.  Real words stay real integer rows; from
+the first word with an imaginary part on, the span is realified, so
+membership over the Gaussian rationals is a rational rank test on integer
+rows either way.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ def algebra_closure(gens: Sequence[ExactMatrix]) -> ClosureResult:
     """Span-saturate the unital algebra generated by square matrices.
 
     The span is seeded with the identity and the generators, then grown by
-    left-multiplying new basis elements by the generators until stable.
+    left-multiplying new basis elements by the generators until stable or
+    until the span is the whole n x n matrix algebra.
     Because the span always contains the identity, this reaches every word
     in the generators, hence the whole algebra.  Generators are rescaled to
     Gaussian-integer form first (harmless: scaling a generator by a nonzero
@@ -53,19 +55,12 @@ def algebra_closure(gens: Sequence[ExactMatrix]) -> ClosureResult:
     scaled = [(g.re, g.im) for g in gens]
     identity = ([[int(i == j) for j in range(n)] for i in range(n)], None)
     span = VectorSpan(n * n)
-    basis = []
-    frontier = []
-    for candidate in [identity] + scaled:
-        if span.add_int(*map(_flatten, candidate)):
-            basis.append(candidate)
-            frontier.append(candidate)
-    while frontier:
-        fresh = []
-        for w in frontier:
-            for g in scaled:
-                prod = _gauss_int_matmul(g, w, n)
-                if span.add_int(*map(_flatten, prod)):
-                    basis.append(prod)
-                    fresh.append(prod)
-        frontier = fresh
+    basis = [c for c in [identity, *scaled] if span.add_int(*map(_flatten, c))]
+    # basis grows while this walks it, so the words come breadth first
+    for w, g in ((w, g) for w in basis for g in scaled):
+        if span.rank == n * n:
+            break  # nothing enlarges the full matrix algebra
+        prod = _gauss_int_matmul(g, w, n)
+        if span.add_int(*map(_flatten, prod)):
+            basis.append(prod)
     return ClosureResult(len(basis), tuple(_from_ints(1, *b) for b in basis), span)

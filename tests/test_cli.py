@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, JSON shapes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from racahlab import leonard, rd
 from racahlab.cli import build_parser, main, run_suite, SuiteConfig, SUITE_TARGETS
 from racahlab.gaussian import GaussianRational
+from racahlab.racah import rep_to_text
 
 
 def _run(capsys, *argv):
@@ -258,3 +261,101 @@ def test_suite_cli_writes_report(tmp_path, capsys):
         return True
 
     assert no_floats(payload)
+
+
+# -- bounded fuzz of the command line ---------------------------------------------
+
+_BIG_D = st.sampled_from(["-1", "0", "1", "2", "3", "4", "x", "", "2.5"])
+_SMALL_D = st.sampled_from(["-1", "0", "1", "2", "3", "x", ""])
+_SCALARS = st.sampled_from(["0", "1", "-1/4", "1/2", "2/3+1/3*i", "-2+1*i", "i", "1/0", "1/2+i", "abc", ""])
+_RANGES = st.sampled_from(["2..3", "2", "4", "0..1", "-1..2", "3..2", "2..x", "..", ""])
+_D_RANGES = st.sampled_from(["0..3", "1", "-1..1", "2..1", "0..x", ".."])
+_REP_TOKENS = st.sampled_from(["A", "B", "C", "Delta", "E", "1", "2", "0", "-1", "1/2", "1/0", "x", "3+i", "0/1"])
+_REP_ENTRIES = st.sampled_from(["0/1", "1/1", "-1/1", "2/1", "1/2", "-3/4", "1/2+1/3*i", "0/1-1/1*i"])
+_VALID_REPS = [
+    rep_to_text(rd.construct(rd.RdParams(Fraction(-1, 4), Fraction(1, 3), Fraction(2, 7), d))).split()
+    for d in (1, 2)
+]
+
+
+@st.composite
+def _rep_texts(draw):
+    """A valid R_1 or R_2 quadruple file with a few token edits, or a short token soup."""
+    if draw(st.integers(0, 3)) == 0:
+        return " ".join(draw(st.lists(_REP_TOKENS, max_size=24)))
+    tokens = list(draw(st.sampled_from(_VALID_REPS)))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.integers(0, 7))
+        if edit == 0:
+            del tokens[k]
+        elif edit == 1:
+            tokens.insert(k, draw(_REP_TOKENS))
+        elif "/" in tokens[k]:  # an entry, not a label or a header
+            tokens[k] = draw(_REP_ENTRIES)
+    return "\n".join(tokens)
+
+
+def _flags(draw, *pairs):
+    """The flag/value pairs, each dropped one time in eight."""
+    return [x for flag, values in pairs if draw(st.integers(0, 7)) for x in (flag, draw(values))]
+
+
+@st.composite
+def _cli_argvs(draw):
+    paths = st.sampled_from(["{tmp}/out.txt", "{tmp}/rep.txt", "{tmp}/rep.txt/sub", "{tmp}/missing/x.txt"])
+    command = draw(st.sampled_from(
+        ["verify", "racah", "leonard", "rd", "hypercube", "decompose", "compare-te-re", "suite"]
+    ))
+    if command == "verify":
+        argv = ["verify", draw(st.sampled_from(["sharp", "kernel", "d3", "even-identities", "odd"]))]
+    elif command in ("racah", "leonard"):
+        argv = [command, "verify" if command == "racah" else "check", "--rep",
+                draw(st.sampled_from(["{tmp}/rep.txt", "{tmp}/missing.txt", "{tmp}"]))]
+    elif command == "rd":
+        action = draw(st.sampled_from(["build", "analyze"]))
+        argv = ["rd", action, *_flags(draw, ("--a", _SCALARS), ("--b", _SCALARS), ("--c", _SCALARS), ("--d", _SMALL_D))]
+        if action == "build" and draw(st.booleans()):
+            argv += ["--out", draw(paths)]
+    elif command == "hypercube":
+        action = draw(st.sampled_from(["build", "verify"]))
+        argv = ["hypercube", action, *_flags(draw, ("--D", _BIG_D))]
+        if action == "build" and draw(st.booleans()):
+            argv += ["--export", draw(st.sampled_from(["{tmp}/cube", "{tmp}/rep.txt/cube"]))]
+    elif command == "decompose":
+        target = st.sampled_from(["hypercube", "Ln", "halved", "other"])
+        argv = ["decompose", *_flags(draw, ("--target", target), ("--D", _BIG_D), ("--n", _SMALL_D))]
+    elif command == "compare-te-re":
+        argv = ["compare-te-re", *_flags(draw, ("--D", _BIG_D))]
+    else:
+        names = st.sampled_from([*SUITE_TARGETS, "bogus", ""])
+        targets = st.lists(names, min_size=1, max_size=3).map(",".join)
+        argv = ["suite", *_flags(
+            draw, ("--targets", targets), ("--D", _RANGES), ("--d", _D_RANGES),
+            ("--samples", st.sampled_from(["-1", "0", "2", "x"])), ("--seed", st.sampled_from(["0", "7", "-3", "y"])),
+        )]
+        if draw(st.booleans()):
+            argv += [draw(st.sampled_from(["--out", "--export-matrices"])), draw(paths)]
+    if draw(st.integers(0, 9)) == 0:
+        # one stray token somewhere
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--D", "2", "--bogus", "-"])))
+    return argv, draw(_rep_texts())
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(case=_cli_argvs())
+def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(case, tmp_path, capsys):
+    argv, rep_text = case
+    (tmp_path / "rep.txt").write_text(rep_text)
+    try:
+        status = main([arg.format(tmp=tmp_path) for arg in argv])
+    except SystemExit as exc:  # argparse rejects the argv
+        status = exc.code
+    err = capsys.readouterr().err
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err

@@ -15,7 +15,11 @@ from racahlab.matrix import (
     ExactMatrix,
     RootSearch,
     Subspace,
+    VectorSpan,
+    _IntEchelon,
     _lifting_prime,
+    _scalar_maker,
+    _vector_ints,
     eigen_split,
     kernel_basis,
     minimal_polynomial,
@@ -568,3 +572,126 @@ def test_scalar_detection():
     )
     assert ExactMatrix.from_rows([[1, 1], [0, 1]]).scalar_value() is None
     assert ExactMatrix.zeros(2, 2).scalar_value() == gr(0)
+
+
+@st.composite
+def _apply_operands(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["real", "complex", "zero"]))
+    values = st.just(gr(0)) if kind == "zero" else oracle_real if kind == "real" else oracle_complex
+    flat = draw(st.lists(st.one_of(st.just(gr(0)), values), min_size=rows * cols, max_size=rows * cols))
+    vec_values = draw(st.sampled_from([st.just(gr(0)), oracle_real, oracle_complex]))
+    vec = draw(st.lists(st.one_of(st.just(gr(0)), vec_values), min_size=cols, max_size=cols))
+    return ExactMatrix(rows, cols, flat), vec
+
+
+@settings(max_examples=200, deadline=None)
+@given(_apply_operands())
+def test_apply_matches_one_column_product(operands):
+    m, vec = operands
+    assert m.apply(vec) == (m * ExactMatrix(m.cols, 1, vec)).entries
+
+
+# -- differential test against an always-realifying span -----------------------
+
+
+class _RealifiedSpan:
+    """Reference span: every vector realified in interleaved coordinates
+    (re_0, im_0, re_1, im_1, ...) and stored next to its i-multiple."""
+
+    def __init__(self, length):
+        self.length = length
+        self._echelon = _IntEchelon()
+
+    @property
+    def rank(self):
+        assert self._echelon.rank % 2 == 0
+        return self._echelon.rank // 2
+
+    def _realify(self, vec):
+        _den, re_part, im_part = _vector_ints(vec)
+        flat = [0] * (2 * self.length)
+        flat[::2] = re_part
+        if im_part is not None:
+            flat[1::2] = im_part
+        return flat
+
+    def add(self, vec):
+        flat = self._realify(vec)
+        grew = self._echelon.add(flat)
+        if grew:
+            turned = [0] * len(flat)
+            turned[::2] = [-x for x in flat[1::2]]
+            turned[1::2] = flat[::2]
+            self._echelon.add(turned)
+        return grew
+
+    def contains(self, vec):
+        return self._echelon.contains(self._realify(vec))
+
+    def reduced_basis(self):
+        found = []
+        for piv, row in zip(self._echelon.pivots, self._echelon.reduced()):
+            if piv % 2 == 0:
+                wrap = _scalar_maker(row[piv])
+                found.append((piv // 2, tuple(map(wrap, row[::2], row[1::2]))))
+        found.sort(key=lambda pair: pair[0])
+        return [piv for piv, _row in found], [row for _piv, row in found]
+
+
+@st.composite
+def _span_feeds(draw):
+    """A vector length, 0-5 real vectors, then 0-4 vectors with imaginary parts
+    (or real ones), each paired with a probe; some vectors and probes are
+    combinations of earlier vectors, so that not every add grows the span."""
+    length = draw(st.integers(1, 6))
+    small = st.sampled_from([gr(0), gr(1), gr(-1), gr(2), gr(Fraction(1, 2))])
+    complex_coeffs = st.one_of(small, st.sampled_from([I, -I, gr(1) + I, gr(Fraction(1, 3)) - I]))
+
+    def vector(entries, coeffs, earlier):
+        if earlier and draw(st.booleans()):
+            picks = draw(st.lists(st.sampled_from(earlier), min_size=1, max_size=3))
+            weights = [draw(coeffs) for _ in picks]
+            return [sum((w * v[k] for w, v in zip(weights, picks)), gr(0)) for k in range(length)]
+        return draw(st.lists(st.one_of(st.just(gr(0)), entries), min_size=length, max_size=length))
+
+    feed = []
+    for phase, count in (("real", draw(st.integers(0, 5))), ("complex", draw(st.integers(0, 4)))):
+        entries, coeffs = (oracle_real, small) if phase == "real" else (oracle_complex, complex_coeffs)
+        for _ in range(count):
+            earlier = [v for v, _probe in feed]
+            feed.append((vector(entries, coeffs, earlier), vector(oracle_complex, complex_coeffs, earlier)))
+    return length, feed
+
+
+def _assert_spans_agree(span, oracle, probe):
+    assert span.rank == oracle.rank
+    assert span.contains(probe) == oracle.contains(probe)
+    assert span.reduced_basis() == oracle.reduced_basis()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_span_feeds())
+def test_span_matches_realified_oracle(case):
+    length, feed = case
+    span, oracle = VectorSpan(length), _RealifiedSpan(length)
+    switched = False
+    for vec, probe in feed:
+        assert span.add(vec) == oracle.add(vec)
+        _assert_spans_agree(span, oracle, probe)
+        switched = switched or any(x.im for x in vec)
+        if switched:
+            mine, theirs = span._echelon, oracle._echelon
+            assert mine.rows == theirs.rows
+            assert mine.pivots == theirs.pivots
+            assert mine.pivot_values == theirs.pivot_values
+
+
+def test_span_realifies_once_on_the_first_complex_vector():
+    span, oracle = VectorSpan(3), _RealifiedSpan(3)
+    for vec in ([gr(1), gr(2), gr(0)], [gr(0), gr(3), gr(1)], [gr(1), I, gr(0)], [I, 2 * I, gr(0)]):
+        span.add(vec)
+        oracle.add(vec)
+    assert span.rank == oracle.rank == 3
+    assert span._echelon.rows == oracle._echelon.rows
+    _assert_spans_agree(span, oracle, [gr(0), gr(0), I])

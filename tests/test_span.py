@@ -5,6 +5,7 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
+from racahlab import rd
 from racahlab.gaussian import GaussianRational, gr
 from racahlab.matrix import ExactMatrix
 from racahlab.sl2 import build_Ln
@@ -70,6 +71,31 @@ def test_closure_with_gaussian_entries():
     # span of I and the nilpotent part
     assert result.dim == 2
     assert result.contains(ExactMatrix.from_rows([[0, 1], [0, 0]]))
+
+
+def _irreducible_rd_generators(d):
+    params = rd.RdParams(Fraction(1, 3), Fraction(1, 5), Fraction(2, 7), d)
+    assert rd.is_irreducible(params)
+    rep = rd.construct(params)
+    return [rep.A, rep.B, rep.C]
+
+
+def test_closure_offers_no_product_at_full_rank(monkeypatch):
+    ranks = []
+    add_int = VectorSpan.add_int
+
+    def spy(self, re_part, im_part):
+        ranks.append(self.rank)
+        return add_int(self, re_part, im_part)
+
+    monkeypatch.setattr(VectorSpan, "add_int", spy)
+    rep = build_Ln(2)
+    for gens in ([rep.E, rep.F, rep.H], _irreducible_rd_generators(3)):
+        ranks.clear()
+        n = gens[0].rows
+        assert algebra_closure(gens).dim == n * n
+        # the offer that filled the span was the last one
+        assert max(ranks) == ranks[-1] == n * n - 1
 
 
 # -- differential check against a closure built from ExactMatrix products ------
