@@ -18,6 +18,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
+from . import orbit
 from .errors import ClassMismatch, DimMismatch, NonDiagonalizableH, NotIrreducible
 from .gaussian import GaussianRational, ZERO, gr, rational_sqrt
 from .leonard import check as leonard_check
@@ -748,16 +749,21 @@ class TeReComparison:
 def compare_te_re(D: int) -> TeReComparison:
     """Closure dimensions of both operator families on the even levels.
 
-    The pulled-back family always generates a subalgebra of the even
-    restriction algebra; dimensions agree exactly when D is odd.  For even D
-    the class catalog of the restriction is also checked.
+    Te is generated by E^2, F^2, H and the Casimir, Re by the pulled-back
+    A, B, C and Delta; both closures and the containment test run in
+    even-level orbit coordinates.  The pulled-back family always generates a
+    subalgebra of the even restriction algebra; dimensions agree exactly
+    when D is odd.  For even D the class catalog of the restriction is also
+    checked, on the dense halved cube.
     """
-    hc: HalvedCube = halved_cube(D)
-    te = algebra_closure(list(hc.te_ops.values()))
-    re = algebra_closure(list(hc.re_ops.values()))
-    contained = all(te.contains(m) for m in hc.re_ops.values())
+    ops = orbit.cube_operators(D)
+    re_gens = [ops[k] for k in ("16A", "16B", "16C", "64Delta")]
+    te = orbit.closure([ops[k] for k in ("E2", "F2", "H", "2Casimir")], D, even=True)
+    re = orbit.closure(re_gens, D, even=True)
+    contained = all(te.contains_vector(orbit.restrict(g, D)) for g in re_gens)
     te_classes_ok: bool | None = None
     if D % 2 == 0:
+        hc: HalvedCube = halved_cube(D)
         report = even_isotypic(
             hc.te_ops["E2"], hc.te_ops["F2"], hc.te_ops["H"], hc.te_ops["Casimir"]
         )
@@ -790,18 +796,18 @@ def cube_decompose(D: int) -> DecompositionReport:
 
 
 @lru_cache(maxsize=8)
-def cube_operator_closure(D: int):
-    """Closure of the three level-graph operators on the cube."""
-    _rep, ops = build_hypercube(D)
-    return algebra_closure([ops.A2J, ops.A2Jbar, ops.A2star])
+def cube_operator_closure(D: int) -> orbit.OrbitClosure:
+    """Closure of the three level-graph operators on the cube, in orbit coordinates."""
+    ops = orbit.cube_operators(D)
+    return orbit.closure([ops["A2J"], ops["A2Jbar"], ops["2A2star"]], D)
 
 
 @lru_cache(maxsize=8)
-def cube_pullback_closure(D: int):
-    """Closure of the pulled-back generator images on the cube."""
-    rep, _ops = build_hypercube(D)
-    pull = sharp_pullback(rep)
-    return algebra_closure([pull.A, pull.B, pull.C])
+def cube_pullback_closure(D: int) -> orbit.OrbitClosure:
+    """Closure of the pulled-back generator images on the cube, in orbit
+    coordinates; the images are orbit products of E, F and H."""
+    ops = orbit.cube_operators(D)
+    return orbit.closure([ops["16A"], ops["16B"], ops["16C"]], D)
 
 
 def cube_semisimple_profile(D: int) -> SemisimpleProfile:

@@ -1,0 +1,222 @@
+"""S_D-invariant operators on the D-cube in orbit coordinates.
+
+S_D permutes the coordinates of the cube, and it commutes with every cube
+operator used here (E, F, H, the level-graph operators and the pulled-back
+A, B, C, Delta).  Such a matrix is fixed by its value on each S_D-orbit of
+vertex pairs (x, y), and the orbit is given by the Venn sizes
+
+    (a, b, c, e) = (|x - y|, |y - x|, |x & y|, rest),
+
+so there are C(D + 3, 3) orbits.  The map to orbit vectors is linear and
+one-to-one on invariant matrices and turns products into the orbit product
+below, so closure dimensions, containment and identity residuals are the
+same numbers in orbit coordinates.  This is the orbit basis of the cube's
+Terwilliger algebra (Terwilliger 1992, J. Algebraic Combin. 1; Schrijver
+2005, IEEE Trans. Inform. Theory 51).
+
+The even-level variant keeps the orbits where |x| = a + c and |y| = b + c
+are both even: those orbit vectors are the restrictions to the even levels.
+
+Orbit vectors are integer lists indexed by ``orbits(D, even)``.  Nothing is
+cached here; the per-D caches are the entry points in ``decompose``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import comb
+
+from .errors import ConfigError, DimensionMismatch
+from .matrix import ExactMatrix, VectorSpan, _strip_content
+from .sl2 import MAX_DENSE_D
+
+Orbit = tuple[int, int, int, int]
+
+
+def orbits(D: int, even: bool = False) -> list[Orbit]:
+    """The pair orbits (a, b, c, e) of the D-cube in a fixed order; with even,
+    only those whose two sets both have even size."""
+    if not 2 <= D <= MAX_DENSE_D:
+        raise ConfigError(f"the cube dimension must be between 2 and {MAX_DENSE_D}")
+    return [
+        (a, b, c, D - a - b - c)
+        for a in range(D + 1)
+        for b in range(D + 1 - a)
+        for c in range(D + 1 - a - b)
+        if not even or (a + c) % 2 == (b + c) % 2 == 0
+    ]
+
+
+def restrict(vec: list[int], D: int) -> list[int]:
+    """The even-level part of a full orbit vector."""
+    return [x for (a, b, c, _e), x in zip(orbits(D), vec) if (a + c) % 2 == (b + c) % 2 == 0]
+
+
+def multiplier(left: list[int], D: int, even: bool = False) -> list[list[tuple[int, int]]]:
+    """Rows of the map v -> left * v on orbit vectors.
+
+    ``left`` is a full orbit vector; ``v`` and the result are indexed by
+    ``orbits(D, even)``.  Row k lists the pairs (j, w) with
+    (left * v)[k] = sum of w * v[j].
+
+    Fix the target orbit's pair (x, y) and let z take z1..z4 elements from
+    the Venn regions x - y, y - x, x & y and the rest.  Then (x, z) lies in
+    (a-z1+c-z3, z2+z4, z1+z3, e-z4+b-z2), (z, y) lies in
+    (z1+z4, b-z2+c-z3, z2+z3, a-z1+e-z4), and C(a,z1) C(b,z2) C(c,z3) C(e,z4)
+    vertices z share those counts.  Only the left factor's support is
+    walked: its orbit fixes z1+z3 and z2+z4, which leaves z1 and z2 free.
+    |z| = z1+z2+z3+z4 is fixed too, and on the even levels only even z count.
+    """
+    index = {o: k for k, o in enumerate(orbits(D, even))}
+    support = [(o, m) for o, m in zip(orbits(D), left) if m]
+    rows = []
+    for a, b, c, e in index:
+        row: dict[int, int] = {}
+        for (al, be, ga, _de), m in support:
+            if al + ga != a + c or (even and (be + ga) % 2):
+                continue
+            for z1 in range(max(0, ga - c), min(a, ga) + 1):
+                z3 = ga - z1
+                w13 = m * comb(a, z1) * comb(c, z3)
+                for z2 in range(max(0, be - e), min(b, be) + 1):
+                    z4 = be - z2
+                    j = index[(z1 + z4, b - z2 + c - z3, z2 + z3, a - z1 + e - z4)]
+                    row[j] = row.get(j, 0) + w13 * comb(b, z2) * comb(e, z4)
+        rows.append(list(row.items()))
+    return rows
+
+
+def _apply(rows: list[list[tuple[int, int]]], vec: list[int]) -> list[int]:
+    return [sum(w * vec[j] for j, w in row) for row in rows]
+
+
+def product(left: list[int], right: list[int], D: int, even: bool = False) -> list[int]:
+    """The orbit vector of left * right (see ``multiplier``)."""
+    return _apply(multiplier(left, D, even), right)
+
+
+def identity(D: int) -> list[int]:
+    return [int(a == b == 0) for a, b, _c, _e in orbits(D)]
+
+
+def orbit_vector(matrix: ExactMatrix, D: int, even: bool = False):
+    """The (real, imaginary or None) integer orbit vectors of den * matrix,
+    or None if the matrix is not constant on every pair orbit.
+
+    Rows and columns are the cube's vertices, subsets as bit masks in
+    increasing order, only those of even size when even.
+    """
+    verts = [v for v in range(1 << D) if not even or v.bit_count() % 2 == 0]
+    if not matrix.is_square or matrix.rows != len(verts):
+        raise DimensionMismatch(f"expected a {len(verts)}x{len(verts)} matrix")
+    index = {o[:3]: k for k, o in enumerate(orbits(D, even))}
+    sizes = [v.bit_count() for v in verts]
+    parts = []
+    for rows in (matrix.re, matrix.im):
+        if rows is None:
+            parts.append(None)
+            continue
+        vec = [None] * len(index)
+        for x, sx, row in zip(verts, sizes, rows):
+            for y, sy, value in zip(verts, sizes, row):
+                c = (x & y).bit_count()
+                k = index[(sx - c, sy - c, c)]
+                if vec[k] is None:
+                    vec[k] = value
+                elif vec[k] != value:
+                    return None
+        parts.append(vec)
+    return parts
+
+
+@dataclass(frozen=True)
+class OrbitClosure:
+    """The unital algebra generated by invariant operators, in orbit coordinates."""
+
+    D: int
+    even: bool
+    dim: int
+    span: VectorSpan
+
+    def contains_vector(self, vec: list[int]) -> bool:
+        """Membership of an orbit vector indexed by ``orbits(D, even)``."""
+        return self.span.contains_int(vec, None)
+
+    def contains(self, matrix: ExactMatrix) -> bool:
+        """Exact membership of a dense matrix; a matrix that is not constant
+        on every pair orbit is not invariant, so it is not a member."""
+        vec = orbit_vector(matrix, self.D, self.even)
+        return vec is not None and self.span.contains_int(*vec)
+
+
+def closure(gens: list[list[int]], D: int, even: bool = False) -> OrbitClosure:
+    """Span-saturate the unital algebra generated by full orbit vectors,
+    restricted to the even levels when even.
+
+    As in ``span.algebra_closure``: seed the span with the identity and the
+    generators, left-multiply each new basis element by every generator,
+    and stop once the span holds every invariant operator.  Each product
+    is stored without its content, which leaves the span unchanged.
+    """
+    seeds = [identity(D), *gens]
+    if even:
+        seeds = [restrict(v, D) for v in seeds]
+    mults = [multiplier(g, D, even) for g in gens]
+    size = len(mults[0])
+    span = VectorSpan(size)
+    basis = [v for v in seeds if span.add_int(v, None)]
+    for w, mult in ((w, mult) for w in basis for mult in mults):
+        if span.rank == size:
+            break
+        prod = _strip_content(_apply(mult, w))
+        if span.add_int(prod, None):
+            basis.append(prod)
+    return OrbitClosure(D, even, len(basis), span)
+
+
+def _combine(*terms: tuple[int, list[int]]) -> list[int]:
+    """The linear combination of orbit vectors given as (coefficient, vector)."""
+    return [sum(s * v[k] for s, v in terms) for k in range(len(terms[0][1]))]
+
+
+def cube_operators(D: int) -> dict[str, list[int]]:
+    """Integer-scaled cube operators as full orbit vectors.
+
+    E, F, H, A2J, A2Jbar and 2*A2star come from their definitions; E2, F2,
+    2*Casimir = 2(EF + FE) + H^2 and the pullbacks 16A = (E+F)^2 - 4,
+    16B = H^2 - 4, 16C = -(E-F)^2 - 4 and 64*Delta = (H+2)F^2 - (H-2)E^2 are
+    orbit products.  Raises if a Theorem 1.8 pullback identity fails.
+    """
+    orbs = orbits(D)
+    one = identity(D)
+    op = {
+        "E": [int(a == 0 and b == 1) for a, b, _c, _e in orbs],
+        "F": [int(a == 1 and b == 0) for a, b, _c, _e in orbs],
+        "H": [(D - 2 * c) * (a == b == 0) for a, b, c, _e in orbs],
+        "A2J": [int(a == b == 1) for a, b, _c, _e in orbs],
+        "A2Jbar": [int({a, b} == {0, 2}) for a, b, _c, _e in orbs],
+        "2A2star": [((D - 2 * c) ** 2 - D) * (a == b == 0) for a, b, c, _e in orbs],
+    }
+    mul = lambda x, y: product(x, y, D)
+    e, f, h = op["E"], op["F"], op["H"]
+    op["E2"], op["F2"], h2 = mul(e, e), mul(f, f), mul(h, h)
+    op["2Casimir"] = _combine((2, mul(e, f)), (2, mul(f, e)), (1, h2))
+    s, t = _combine((1, e), (1, f)), _combine((1, e), (-1, f))
+    op["16A"] = _combine((1, mul(s, s)), (-4, one))
+    op["16B"] = _combine((1, h2), (-4, one))
+    op["16C"] = _combine((-1, mul(t, t)), (-4, one))
+    op["64Delta"] = _combine(
+        (1, mul(_combine((1, h), (2, one)), op["F2"])),
+        (-1, mul(_combine((1, h), (-2, one)), op["E2"])),
+    )
+    for label, lhs, rhs in (
+        ("A2J = 2 - D/2 + 4(A + C)", _combine((4, op["A2J"])),
+         _combine((8 - 2 * D, one), (1, op["16A"]), (1, op["16C"]))),
+        ("A2Jbar = 4(A - C)", _combine((4, op["A2Jbar"])),
+         _combine((1, op["16A"]), (-1, op["16C"]))),
+        ("A2star = 2 - D/2 + 8B", _combine((2, op["2A2star"])),
+         _combine((8 - 2 * D, one), (2, op["16B"]))),
+    ):
+        if lhs != rhs:
+            raise ArithmeticError(f"pullback identity fails in orbit coordinates: {label}")
+    return op

@@ -214,4 +214,9 @@ def test_criterion_10_even_restriction_comparison():
         ok &= cmp.equal == (D % 2 == 1)
         if cmp.te_classes_ok is not None:
             ok &= cmp.te_classes_ok
-    _report("10 (even-restriction algebras equal iff D odd)", ok, time.monotonic() - start)
+    # odd D past the dense range: orbit coordinates only, no dense build
+    for D in (9, 11):
+        cmp = compare_te_re(D)
+        ok &= cmp.contained
+        ok &= cmp.dim_te == cmp.dim_re == block_dimension_formula(D)
+    _report("10 (even-restriction algebras equal iff D odd, D in 2..8, 9, 11)", ok, time.monotonic() - start)

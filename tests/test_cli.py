@@ -179,11 +179,14 @@ def test_missing_required_argument(capsys):
         ["rd", "analyze", "--a", "1", "--b", "1", "--c", "1", "--d", "-1"],
         ["racah", "verify", "--rep", "{repeated}"],
         ["racah", "verify", "--rep", "{negative_header}"],
+        ["compare-te-re", "--D", "13"],
+        ["suite", "--targets", "thm8_7", "--D", "13..13"],
     ],
     ids=["zero-denominator-flag", "bad-token-flag", "unwritable-out", "bad-range",
          "export-under-a-file", "missing-rep", "missing-rep-leonard", "short-block", "zero-denominator-file",
          "mismatched-blocks", "cube-above-dense-cap", "verify-above-dense-cap", "cube-below-2",
-         "negative-highest-weight", "negative-rd-size", "repeated-block-label", "negative-header"],
+         "negative-highest-weight", "negative-rd-size", "repeated-block-label", "negative-header",
+         "compare-above-dense-cap", "suite-thm8_7-above-dense-cap"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     files = {

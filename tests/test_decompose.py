@@ -184,7 +184,7 @@ class TestProfilesAndCatalogs:
 
 
 class TestTeRe:
-    @pytest.mark.parametrize("D,expected_te,expected_re", [(2, 4, 2), (3, 5, 5), (4, 11, 7), (5, 14, 14)])
+    @pytest.mark.parametrize("D,expected_te,expected_re", [(2, 4, 2), (3, 5, 5), (4, 11, 7), (5, 14, 14), (8, 45, 25)])
     def test_dims(self, D, expected_te, expected_re):
         cmp = compare_te_re(D)
         assert (cmp.dim_te, cmp.dim_re) == (expected_te, expected_re)
