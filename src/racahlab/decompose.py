@@ -8,11 +8,15 @@ certify every step exactly (invariance, traces, a closure-based
 irreducibility oracle, and the Leonard-triple checker on one witness per
 class).  Multiplicities are computed by highest-weight counting, never
 assumed.
+
+The cube module is decomposed through its copies of L_n (``_cube_copies``),
+never densely: each class is certified in the (n+1)-dimensional L_n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -40,13 +44,11 @@ from .rd import (
 )
 from .sl2 import (
     EvenHalfModule,
-    HalvedCube,
     Sl2Rep,
-    build_hypercube,
-    half_pullback,
-    halved_cube,
-    casimir_matrix,
+    build_Ln,
+    even_halves,
     half_coeffs,
+    half_pullback,
     sharp_pullback,
 )
 from .span import VectorSpan, algebra_closure
@@ -56,7 +58,8 @@ Vector = tuple[GaussianRational, ...]
 
 @dataclass(frozen=True)
 class SummandGroup:
-    """All copies of one isomorphism class inside a decomposition."""
+    """All copies of one isomorphism class inside a decomposition.  The cube
+    reports carry witnesses=(): their classes are certified in each L_n."""
 
     label: str
     kind: str  # "sl2", "even" or "racah"
@@ -124,26 +127,13 @@ def _integer_weight(value: GaussianRational) -> int:
 def _weight_spaces(h: ExactMatrix) -> dict[int, list[Vector]]:
     """Group an exactly diagonal weight operator into coordinate eigenspaces."""
     n = h.rows
+    if h != ExactMatrix.diagonal([h.entry(i, i) for i in range(n)]):
+        raise NonDiagonalizableH("the weight operator must be diagonal in the given basis")
     spaces: dict[int, list[Vector]] = {}
-    if h == ExactMatrix.diagonal([h.entry(i, i) for i in range(n)]):
-        for i in range(n):
-            w = _integer_weight(h.entry(i, i))
-            vec = [ZERO] * n
-            vec[i] = gr(1)
-            spaces.setdefault(w, []).append(tuple(vec))
-        return spaces
-    p = minimal_polynomial(h)
-    search = rational_roots(p)
-    if not search.splits or not p.is_squarefree:
-        raise NonDiagonalizableH("weight operator is not diagonalizable over the field")
-    total = 0
-    for root in search.roots:
-        w = _integer_weight(root)
-        vecs = kernel_basis(h - ExactMatrix.scalar_matrix(n, root))
-        total += len(vecs)
-        spaces[w] = list(vecs)
-    if total != n:
-        raise NonDiagonalizableH("weight eigenspaces do not fill the space")
+    for i in range(n):
+        vec = [ZERO] * n
+        vec[i] = gr(1)
+        spaces.setdefault(_integer_weight(h.entry(i, i)), []).append(tuple(vec))
     return spaces
 
 
@@ -511,23 +501,17 @@ def split_even_half(half: EvenHalfModule) -> DecompositionReport:
         for k in range(half.dim)
     )
     parts = split_half_chain(ops, chain, half.n, half.parity)
-    return _parts_to_report(half.dim, parts, run_leonard=True)
+    return _parts_to_report(half.dim, parts)
 
 
-def _parts_to_report(
-    ambient_dim: int, parts: list[CertifiedPart], run_leonard: bool
-) -> DecompositionReport:
+def _parts_to_report(ambient_dim: int, parts: list[CertifiedPart]) -> DecompositionReport:
     grouped: dict = {}
     for part in parts:
         grouped.setdefault(part.iso, []).append(part)
     summands = []
     for iso in sorted(grouped, key=lambda c: c.sort_key()):
         group = grouped[iso]
-        leonard_passed = None
-        if run_leonard:
-            first = group[0]
-            report = leonard_check(*first.restricted, hints=leonard_hints(first.expected))
-            leonard_passed = report.passed
+        leonard = leonard_check(*group[0].restricted, hints=leonard_hints(group[0].expected))
         summands.append(
             SummandGroup(
                 iso.label(),
@@ -538,7 +522,7 @@ def _parts_to_report(
                 iso.dim,
                 len(group),
                 tuple(p.witness for p in group),
-                leonard_passed,
+                leonard.passed,
             )
         )
     total = sum(g.dim * g.multiplicity for g in summands)
@@ -548,12 +532,11 @@ def _parts_to_report(
 # -- the full chain: module -> classes ---------------------------------------
 
 
-def re_decompose(rep: Sl2Rep, cube_D: int | None = None) -> DecompositionReport:
+def re_decompose(rep: Sl2Rep) -> DecompositionReport:
     """Decompose the pullback of a module along the homomorphism.
 
     Chains highest-weight splitting, parity halving and mirror splitting,
-    certifying each summand.  When cube_D is given the certified class set is
-    compared against the catalog for that cube dimension.
+    certifying each summand.
     """
     pull = sharp_pullback(rep)
     ops = (pull.A, pull.B, pull.C)
@@ -564,17 +547,9 @@ def re_decompose(rep: Sl2Rep, cube_D: int | None = None) -> DecompositionReport:
             if not chain:
                 continue
             parts.extend(split_half_chain(ops, chain, copy.n, parity))
-    report = _parts_to_report(rep.dim, parts, run_leonard=True)
+    report = _parts_to_report(rep.dim, parts)
     if not report.complete:
         raise ArithmeticError("class dimensions do not sum to the ambient dimension")
-    if cube_D is not None:
-        expected = expected_cube_classes(cube_D)
-        found = report.classes()
-        if found != expected:
-            raise ClassMismatch(
-                f"cube class catalog mismatch at D={cube_D}: "
-                f"extra {found - expected}, missing {expected - found}"
-            )
     return report
 
 
@@ -688,26 +663,16 @@ class SemisimpleProfile:
     dim: int
 
 
-def semisimple_profile(
-    gens, report: DecompositionReport, closure=None
-) -> SemisimpleProfile:
+def semisimple_profile(report: DecompositionReport, closure_dim: int) -> SemisimpleProfile:
     """Infer the block profile from a decomposition and cross-check it.
 
     One block per distinct class, of size equal to the class dimension.  The
-    profile dimension must equal the closure dimension of the generators
-    (recomputed here unless a precomputed closure is supplied).
+    profile dimension must equal the closure dimension of the algebra.
     """
-    sizes: dict[int, int] = {}
-    for group in report.summands:
-        sizes[group.dim] = sizes.get(group.dim, 0) + 1
-    blocks = tuple(sorted(sizes.items(), reverse=True))
+    blocks = tuple(sorted(Counter(g.dim for g in report.summands).items(), reverse=True))
     dim = sum(count * k * k for k, count in blocks)
-    if closure is None:
-        closure = algebra_closure(list(gens))
-    if closure.dim != dim:
-        raise DimMismatch(
-            f"profile dimension {dim} != closure dimension {closure.dim}"
-        )
+    if closure_dim != dim:
+        raise DimMismatch(f"profile dimension {dim} != closure dimension {closure_dim}")
     return SemisimpleProfile(blocks, dim)
 
 
@@ -753,8 +718,8 @@ def compare_te_re(D: int) -> TeReComparison:
     A, B, C and Delta; both closures and the containment test run in
     even-level orbit coordinates.  The pulled-back family always generates a
     subalgebra of the even restriction algebra; dimensions agree exactly
-    when D is odd.  For even D the class catalog of the restriction is also
-    checked, on the dense halved cube.
+    when D is odd.  For even D the Te classes of the restriction, the
+    parity halves of ``_even_level_halves``, are checked against a catalog.
     """
     ops = orbit.cube_operators(D)
     re_gens = [ops[k] for k in ("16A", "16B", "16C", "64Delta")]
@@ -763,36 +728,66 @@ def compare_te_re(D: int) -> TeReComparison:
     contained = all(te.contains_vector(orbit.restrict(g, D)) for g in re_gens)
     te_classes_ok: bool | None = None
     if D % 2 == 0:
-        hc: HalvedCube = halved_cube(D)
-        report = even_isotypic(
-            hc.te_ops["E2"], hc.te_ops["F2"], hc.te_ops["H"], hc.te_ops["Casimir"]
-        )
-        found = {(g.n, g.parity) for g in report.summands}
+        found = {(half.n, half.parity) for half, _copies in _even_level_halves(D)}
         te_classes_ok = found == expected_halved_te_classes(D)
     return TeReComparison(D, te.dim, re.dim, contained, te.dim == re.dim, te_classes_ok)
 
 
+def _cube_copies(D: int) -> list[tuple[int, int]]:
+    """(k, copies of L_{D-2k}) in the cube module.  ``orbit.cube_operators``
+    checks the sl2 relations, and an sl2-module is fixed by its weight
+    multiplicities: C(D, k) vertices on level k have weight D - 2k."""
+    orbit.cube_operators(D)
+    return [(k, comb(D, k) - (comb(D, k - 1) if k else 0)) for k in range(D // 2 + 1)]
+
+
+def _even_level_halves(D: int) -> list[tuple[EvenHalfModule, int]]:
+    """(half, copies) on the cube's even levels: a copy of L_{D-2k} starts on
+    level k, so they hold its parity-(k mod 2) half (none for L_0 on odd k)."""
+    halves = [(even_halves(build_Ln(D - 2 * k))[k % 2], m) for k, m in _cube_copies(D)]
+    return [(half, m) for half, m in halves if half is not None]
+
+
+def _sum_reports(
+    ambient_dim: int, reports: list[tuple[DecompositionReport, int]]
+) -> DecompositionReport:
+    """The direct sum of copies of decomposed modules, which share no class
+    (the modules are L_n or their halves for distinct n).  The witnesses
+    live in the summed modules, so none is kept."""
+    summands = sorted(
+        (replace(g, multiplicity=g.multiplicity * m, witnesses=())
+         for report, m in reports for g in report.summands),
+        key=lambda g: g.iso.sort_key(),
+    )
+    if len({g.iso for g in summands}) != len(summands):
+        raise ArithmeticError("a class appears in two summed modules")
+    if sum(g.dim * g.multiplicity for g in summands) != ambient_dim:
+        raise ArithmeticError("class dimensions do not sum to the ambient dimension")
+    return DecompositionReport(ambient_dim, tuple(summands), True)
+
+
 @lru_cache(maxsize=8)
 def halved_decompose(D: int) -> DecompositionReport:
-    """Class decomposition of the even-level restriction."""
-    hc = halved_cube(D)
-    ops = (hc.re_ops["A"], hc.re_ops["B"], hc.re_ops["C"])
-    parts: list[CertifiedPart] = []
-    for copy in even_copies(
-        hc.te_ops["E2"], hc.te_ops["F2"], hc.te_ops["H"], hc.te_ops["Casimir"]
-    ):
-        parts.extend(split_half_chain(ops, copy.chain, copy.n, copy.parity))
-    report = _parts_to_report(hc.dim, parts, run_leonard=True)
-    if not report.complete:
-        raise ArithmeticError("halved decomposition is incomplete")
-    return report
+    """Class decomposition of the even-level restriction, one parity half of
+    each copy of L_{D-2k} at a time."""
+    return _sum_reports(
+        1 << (D - 1), [(split_even_half(half), copies) for half, copies in _even_level_halves(D)]
+    )
 
 
 @lru_cache(maxsize=8)
 def cube_decompose(D: int) -> DecompositionReport:
-    """Class decomposition of the cube module, checked against the catalog."""
-    rep, _ops = build_hypercube(D)
-    return re_decompose(rep, cube_D=D)
+    """Class decomposition of the cube module, one copy of L_{D-2k} at a time,
+    checked against the catalog."""
+    report = _sum_reports(
+        1 << D, [(re_decompose(build_Ln(D - 2 * k)), copies) for k, copies in _cube_copies(D)]
+    )
+    expected, found = expected_cube_classes(D), report.classes()
+    if found != expected:
+        raise ClassMismatch(
+            f"cube catalog mismatch at D={D}: extra {found - expected}, missing {expected - found}"
+        )
+    return report
 
 
 @lru_cache(maxsize=8)
@@ -812,8 +807,4 @@ def cube_pullback_closure(D: int) -> orbit.OrbitClosure:
 
 def cube_semisimple_profile(D: int) -> SemisimpleProfile:
     """Block profile of the cube operator algebra, closure-cross-checked."""
-    _rep, ops = build_hypercube(D)
-    report = cube_decompose(D)
-    return semisimple_profile(
-        [ops.A2J, ops.A2Jbar, ops.A2star], report, closure=cube_operator_closure(D)
-    )
+    return semisimple_profile(cube_decompose(D), cube_operator_closure(D).dim)

@@ -185,7 +185,9 @@ def cube_operators(D: int) -> dict[str, list[int]]:
     E, F, H, A2J, A2Jbar and 2*A2star come from their definitions; E2, F2,
     2*Casimir = 2(EF + FE) + H^2 and the pullbacks 16A = (E+F)^2 - 4,
     16B = H^2 - 4, 16C = -(E-F)^2 - 4 and 64*Delta = (H+2)F^2 - (H-2)E^2 are
-    orbit products.  Raises if a Theorem 1.8 pullback identity fails.
+    orbit products.  Raises if an sl2 relation [H,E] = 2E, [H,F] = -2F,
+    [E,F] = H or a Theorem 1.8 pullback identity fails: the relations make
+    the cube an sl2-module, which ``decompose`` splits into copies of L_n.
     """
     orbs = orbits(D)
     one = identity(D)
@@ -200,7 +202,8 @@ def cube_operators(D: int) -> dict[str, list[int]]:
     mul = lambda x, y: product(x, y, D)
     e, f, h = op["E"], op["F"], op["H"]
     op["E2"], op["F2"], h2 = mul(e, e), mul(f, f), mul(h, h)
-    op["2Casimir"] = _combine((2, mul(e, f)), (2, mul(f, e)), (1, h2))
+    ef, fe = mul(e, f), mul(f, e)
+    op["2Casimir"] = _combine((2, ef), (2, fe), (1, h2))
     s, t = _combine((1, e), (1, f)), _combine((1, e), (-1, f))
     op["16A"] = _combine((1, mul(s, s)), (-4, one))
     op["16B"] = _combine((1, h2), (-4, one))
@@ -210,6 +213,9 @@ def cube_operators(D: int) -> dict[str, list[int]]:
         (-1, mul(_combine((1, h), (-2, one)), op["E2"])),
     )
     for label, lhs, rhs in (
+        ("[H,E] = 2E", _combine((1, mul(h, e)), (-1, mul(e, h))), _combine((2, e))),
+        ("[H,F] = -2F", _combine((1, mul(h, f)), (-1, mul(f, h))), _combine((-2, f))),
+        ("[E,F] = H", _combine((1, ef), (-1, fe)), h),
         ("A2J = 2 - D/2 + 4(A + C)", _combine((4, op["A2J"])),
          _combine((8 - 2 * D, one), (1, op["16A"]), (1, op["16C"]))),
         ("A2Jbar = 4(A - C)", _combine((4, op["A2Jbar"])),
@@ -218,5 +224,5 @@ def cube_operators(D: int) -> dict[str, list[int]]:
          _combine((8 - 2 * D, one), (2, op["16B"]))),
     ):
         if lhs != rhs:
-            raise ArithmeticError(f"pullback identity fails in orbit coordinates: {label}")
+            raise ArithmeticError(f"identity fails in orbit coordinates: {label}")
     return op

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from racahlab import pbw
+from racahlab import pbw, sl2
 from racahlab.decompose import (
     block_dimension_formula,
     compare_te_re,
@@ -19,6 +19,7 @@ from racahlab.decompose import (
     cube_semisimple_profile,
     expected_block_profile,
     expected_half_split,
+    halved_decompose,
     prop_7_6_classes,
     re_decompose,
     split_even_half,
@@ -48,6 +49,15 @@ from racahlab.sl2 import (
 )
 
 CUBE_RANGE = range(2, 9)
+# past the dense range: the cube goes through its copies of L_n only
+BEYOND_DENSE = range(9, 13)
+
+
+def _forbid_dense_cube(monkeypatch):
+    def dense(D):
+        raise AssertionError(f"dense cube build at D={D}")
+
+    monkeypatch.setattr(sl2, "_checked_hypercube", dense)
 
 
 def _report(criterion: str, ok: bool, elapsed: float, budget: float | None = None):
@@ -151,20 +161,21 @@ def test_criterion_06_half_split_tables():
     _report("6 (parity-half splitting tables, n <= 12)", ok, time.monotonic() - start, 60.0)
 
 
-def test_criterion_07_complete_reducibility_and_leonard():
+def test_criterion_07_complete_reducibility_and_leonard(monkeypatch):
     start = time.monotonic()
     ok = True
     for n in range(13):
         report = re_decompose(build_Ln(n))
         ok &= report.complete
         ok &= all(g.leonard_passed for g in report.summands)
-    for D in CUBE_RANGE:
-        report = cube_decompose(D)
-        ok &= report.complete
-        ok &= all(g.leonard_passed for g in report.summands)
-        ok &= report.total_dim() == 2**D
+    _forbid_dense_cube(monkeypatch)
+    for D in (*CUBE_RANGE, *BEYOND_DENSE):
+        for report, dim in ((cube_decompose(D), 2**D), (halved_decompose(D), 2 ** (D - 1))):
+            ok &= report.complete
+            ok &= all(g.leonard_passed for g in report.summands)
+            ok &= report.total_dim() == dim
     _report(
-        "7 (complete reducibility + Leonard on every summand, D <= 8, n <= 12)",
+        "7 (complete reducibility + Leonard on every summand, D <= 12, n <= 12)",
         ok,
         time.monotonic() - start,
         300.0,
@@ -189,15 +200,16 @@ def test_criterion_08_cube_operator_identities_and_surjectivity():
     _report("8 (operator identities and surjectivity, D in 2..8)", ok, time.monotonic() - start)
 
 
-def test_criterion_09_algebra_dimension_and_blocks():
+def test_criterion_09_algebra_dimension_and_blocks(monkeypatch):
     start = time.monotonic()
     ok = True
-    for D in CUBE_RANGE:
+    _forbid_dense_cube(monkeypatch)
+    for D in (*CUBE_RANGE, *BEYOND_DENSE):
         profile = cube_semisimple_profile(D)
         ok &= profile.dim == block_dimension_formula(D)
         ok &= profile.blocks == expected_block_profile(D)
     _report(
-        "9 (algebra dimension formula and block profiles, D in 2..8)",
+        "9 (algebra dimension formula and block profiles, D in 2..12)",
         ok,
         time.monotonic() - start,
         600.0,

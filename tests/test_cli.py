@@ -234,6 +234,16 @@ def test_suite_deterministic_and_exit_status(tmp_path):
     assert report1["config"]["seed"] == 7
 
 
+def test_suite_symbolic_and_half_targets_pass(capsys):
+    targets = ["thm1_6_membership", "thm3_3", "sec3_identities", "thm7_2", "thm7_5"]
+    status, out = _run(capsys, "suite", "--targets", ",".join(targets))
+    assert status == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert all(check["pass"] for check in report["checks"])
+    assert {check["target"] for check in report["checks"]} == set(targets)
+
+
 def test_suite_unknown_target(capsys):
     status = main(["suite", "--targets", "not_a_target"])
     assert status == 2

@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 
 from racahlab.decompose import (
+    _even_level_halves,
+    _parts_to_report,
     block_dimension_formula,
     compare_te_re,
     cube_decompose,
     cube_semisimple_profile,
+    even_copies,
     even_isotypic,
     expected_block_profile,
     expected_cube_classes,
@@ -20,10 +23,21 @@ from racahlab.decompose import (
     re_decompose,
     sl2_isotypic,
     split_even_half,
+    split_half_chain,
 )
+from racahlab.errors import NonDiagonalizableH
 from racahlab.gaussian import gr
+from racahlab.matrix import ExactMatrix
 from racahlab.rd import RdParams, iso_class_of
-from racahlab.sl2 import build_Ln, build_hypercube, casimir_matrix, even_halves
+from racahlab.sl2 import (
+    Sl2Rep,
+    build_Ln,
+    build_hypercube,
+    casimir_matrix,
+    even_halves,
+    halved_cube,
+    sharp_pullback,
+)
 
 Q = Fraction(-1, 4)
 H = Fraction(-1, 2)
@@ -134,16 +148,69 @@ class TestReDecompose:
             assert all(g.leonard_passed for g in report.summands)
 
     def test_witness_invariance_under_pullback(self):
-        from racahlab.sl2 import sharp_pullback
-
         rep, _ops = build_hypercube(3)
         pull = sharp_pullback(rep)
-        report = cube_decompose(3)
+        report = re_decompose(rep)
         for group in report.summands:
+            assert len(group.witnesses) == group.multiplicity
             for witness in group.witnesses:
                 for op in (pull.A, pull.B, pull.C, pull.Delta):
                     for vec in witness.basis:
                         assert witness.contains(op.apply(vec))
+
+
+class TestWeightSpaces:
+    @pytest.mark.parametrize("decompose", [sl2_isotypic, re_decompose])
+    def test_non_diagonal_h_raises(self, decompose):
+        rep = build_Ln(2)
+        unipotent = ExactMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+        inverse = ExactMatrix.from_rows([[1, -1, 1], [0, 1, -1], [0, 0, 1]])
+        assert unipotent * inverse == ExactMatrix.identity(3)
+        conj = lambda m: unipotent * m * inverse
+        conjugated = Sl2Rep(3, conj(rep.E), conj(rep.F), conj(rep.H), rep.labels)
+        with pytest.raises(NonDiagonalizableH):
+            decompose(conjugated)
+
+
+def _summary(report):
+    return [(g.label, g.dim, g.multiplicity, g.leonard_passed) for g in report.summands]
+
+
+class TestCubeOracle:
+    """The cube reports, summed over copies of L_n, against the dense engine."""
+
+    @pytest.mark.parametrize("D", range(2, 8))
+    def test_cube_decompose_matches_dense(self, D):
+        rep, _ops = build_hypercube(D)
+        dense = re_decompose(rep)
+        report = cube_decompose(D)
+        assert _summary(report) == _summary(dense)
+        assert report.ambient_dim == dense.ambient_dim == 2**D
+        assert all(g.witnesses == () for g in report.summands)
+
+    @pytest.mark.parametrize("D", range(2, 8))
+    def test_halved_decompose_matches_dense(self, D):
+        hc = halved_cube(D)
+        ops = (hc.re_ops["A"], hc.re_ops["B"], hc.re_ops["C"])
+        te = (hc.te_ops[k] for k in ("E2", "F2", "H", "Casimir"))
+        parts = [
+            part
+            for copy in even_copies(*te)
+            for part in split_half_chain(ops, copy.chain, copy.n, copy.parity)
+        ]
+        dense = _parts_to_report(hc.dim, parts)
+        report = halved_decompose(D)
+        assert _summary(report) == _summary(dense)
+        assert report.ambient_dim == dense.ambient_dim == 2 ** (D - 1)
+        assert report.complete and dense.complete
+
+    @pytest.mark.parametrize("D", [2, 4, 6, 8])
+    def test_te_catalog_matches_dense(self, D):
+        hc = halved_cube(D)
+        dense = even_isotypic(*(hc.te_ops[k] for k in ("E2", "F2", "H", "Casimir")))
+        found = {(half.n, half.parity): copies for half, copies in _even_level_halves(D)}
+        assert found == {(g.n, g.parity): g.multiplicity for g in dense.summands}
+        assert compare_te_re(D).te_classes_ok
 
 
 class TestEvenIsotypic:
