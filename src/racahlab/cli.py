@@ -19,6 +19,7 @@ from . import decompose as dec
 from . import leonard, pbw, rd
 from .errors import ConfigError, DimensionMismatch, RacahLabError
 from .gaussian import GaussianRational
+from .orbit import MAX_ORBIT_D, cube_build, cube_operators
 from .racah import (
     central_values,
     load_rep,
@@ -26,7 +27,7 @@ from .racah import (
     verify_presentation,
     verify_section6_relations,
 )
-from .sl2 import build_hypercube, build_Ln, sharp_pullback, verify_hypercube
+from .sl2 import MAX_DENSE_D, build_hypercube, build_Ln
 
 REPORT_SCHEMA = "racahlab-report/1"
 
@@ -266,18 +267,16 @@ def _run_thm1_8(cfg: SuiteConfig) -> list[dict]:
     out = []
     lo, hi = cfg.big_d_range
     for D in range(lo, hi + 1):
-        checks = verify_hypercube(D)
-        relevant = [c for c in checks if "pullback" in c.identity or "A2" in c.identity]
-        for c in relevant:
-            out.append(_check_dict("thm1_8", c))
+        for c in cube_build(D)[1]:
+            if "pullback" in c.identity or "A2" in c.identity:
+                out.append(_check_dict("thm1_8", c))
         closure_graph = dec.cube_operator_closure(D)
         closure_pull = dec.cube_pullback_closure(D)
-        rep, ops = build_hypercube(D)
-        pull = sharp_pullback(rep)
+        ops = cube_operators(D)
         mutual = all(
-            closure_graph.contains(m) for m in (pull.A, pull.B, pull.C)
+            closure_graph.contains_vector(ops[k]) for k in ("16A", "16B", "16C")
         ) and all(
-            closure_pull.contains(m) for m in (ops.A2J, ops.A2Jbar, ops.A2star)
+            closure_pull.contains_vector(ops[k]) for k in ("A2J", "A2Jbar", "2A2star")
         )
         out.append(
             _ok(
@@ -363,6 +362,11 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     for target in cfg.targets:
         if target not in _TARGET_RUNNERS:
             raise ConfigError(f"unknown target {target!r}")
+    lo, hi = cfg.big_d_range
+    cap = MAX_DENSE_D if cfg.export_matrices else MAX_ORBIT_D
+    if not 2 <= lo <= hi <= cap:
+        exported = " with --export-matrices" if cfg.export_matrices else ""
+        raise ConfigError(f"--D must lie in 2..{cap}{exported}")
     results = {target: _TARGET_RUNNERS[target](cfg) for target in cfg.targets}
     checks: list[dict] = []
     for target in sorted(results):
@@ -375,7 +379,6 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
         "ok": ok,
     }
     if cfg.export_matrices:
-        lo, hi = cfg.big_d_range
         for D in range(lo, hi + 1):
             _export_cube_operators(D, Path(cfg.export_matrices))
     return (0 if ok else 1), report
@@ -634,7 +637,7 @@ def _dispatch(args) -> int:
                 rep, _ops = build_hypercube(args.D)
                 print(f"built cube D={args.D}: dimension {rep.dim}")
             return 0
-        checks = verify_hypercube(args.D)
+        checks = cube_build(args.D)[1]
         _emit(_dump([_check_json(c) for c in checks]), None)
         return 0 if all(c.passed for c in checks) else 1
 

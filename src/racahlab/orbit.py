@@ -17,27 +17,33 @@ Terwilliger algebra (Terwilliger 1992, J. Algebraic Combin. 1; Schrijver
 The even-level variant keeps the orbits where |x| = a + c and |y| = b + c
 are both even: those orbit vectors are the restrictions to the even levels.
 
-Orbit vectors are integer lists indexed by ``orbits(D, even)``.  Nothing is
-cached here; the per-D caches are the entry points in ``decompose``.
+Orbit vectors are integer lists indexed by ``orbits(D, even)``, for
+2 <= D <= MAX_ORBIT_D.  ``check_list`` holds the cube's consistency checks,
+the one source of Theorem 1.8's identities.  ``cube_build`` caches the cube
+operators and their checks once per D, as tuples; the closures' per-D caches
+are the entry points in ``decompose``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .errors import ConfigError, DimensionMismatch
 from .matrix import ExactMatrix, VectorSpan, _strip_content
-from .sl2 import MAX_DENSE_D
+from .pbw import CheckResult
 
 Orbit = tuple[int, int, int, int]
+
+MAX_ORBIT_D = 16
 
 
 def orbits(D: int, even: bool = False) -> list[Orbit]:
     """The pair orbits (a, b, c, e) of the D-cube in a fixed order; with even,
     only those whose two sets both have even size."""
-    if not 2 <= D <= MAX_DENSE_D:
-        raise ConfigError(f"the cube dimension must be between 2 and {MAX_DENSE_D}")
+    if not 2 <= D <= MAX_ORBIT_D:
+        raise ConfigError(f"the cube dimension must be between 2 and {MAX_ORBIT_D}")
     return [
         (a, b, c, D - a - b - c)
         for a in range(D + 1)
@@ -179,50 +185,108 @@ def _combine(*terms: tuple[int, list[int]]) -> list[int]:
     return [sum(s * v[k] for s, v in terms) for k in range(len(terms[0][1]))]
 
 
-def cube_operators(D: int) -> dict[str, list[int]]:
-    """Integer-scaled cube operators as full orbit vectors.
+def _orbit_size(o: Orbit) -> int:
+    """The number of vertex pairs in the orbit: D! / (a! b! c! e!)."""
+    a, b, c, e = o
+    return comb(a + b + c + e, a) * comb(b + c + e, b) * comb(c + e, c)
 
-    E, F, H, A2J, A2Jbar and 2*A2star come from their definitions; E2, F2,
+
+# The integer-scaled cube operators, in the order ``check_list`` returns them.
+OPERATORS = (
+    "E", "F", "H", "A2J", "A2Jbar", "2A2star",
+    "E2", "F2", "2Casimir", "16A", "16B", "16C", "64Delta",
+)
+
+
+def check_list(
+    D: int, E, F, H, A2J, A2Jbar, A2star2
+) -> tuple[list[list[int]], tuple[CheckResult, ...]]:
+    """The cube operators named in OPERATORS and their consistency checks.
+
+    Takes full orbit vectors of E, F, H, A2J, A2Jbar and 2*A2star.  E2, F2,
     2*Casimir = 2(EF + FE) + H^2 and the pullbacks 16A = (E+F)^2 - 4,
-    16B = H^2 - 4, 16C = -(E-F)^2 - 4 and 64*Delta = (H+2)F^2 - (H-2)E^2 are
-    orbit products.  Raises if an sl2 relation [H,E] = 2E, [H,F] = -2F,
-    [E,F] = H or a Theorem 1.8 pullback identity fails: the relations make
-    the cube an sl2-module, which ``decompose`` splits into copies of L_n.
+    16B = H^2 - 4, 16C = -(E-F)^2 - 4 and 64*Delta = (H+2)F^2 - (H-2)E^2
+    are orbit products.  Each identity is checked as an integer multiple of
+    its residual; its residual count is the number of vertex pairs where
+    the residual is nonzero, the sum of the orbit sizes over its nonzero
+    orbit entries (the dense ``nonzero_count``).  The level-block check
+    counts 0 or 1.  The sl2 relations make the cube an sl2-module, which
+    ``decompose`` splits into copies of L_n.
     """
     orbs = orbits(D)
     one = identity(D)
-    op = {
-        "E": [int(a == 0 and b == 1) for a, b, _c, _e in orbs],
-        "F": [int(a == 1 and b == 0) for a, b, _c, _e in orbs],
-        "H": [(D - 2 * c) * (a == b == 0) for a, b, c, _e in orbs],
-        "A2J": [int(a == b == 1) for a, b, _c, _e in orbs],
-        "A2Jbar": [int({a, b} == {0, 2}) for a, b, _c, _e in orbs],
-        "2A2star": [((D - 2 * c) ** 2 - D) * (a == b == 0) for a, b, c, _e in orbs],
-    }
     mul = lambda x, y: product(x, y, D)
-    e, f, h = op["E"], op["F"], op["H"]
-    op["E2"], op["F2"], h2 = mul(e, e), mul(f, f), mul(h, h)
-    ef, fe = mul(e, f), mul(f, e)
-    op["2Casimir"] = _combine((2, ef), (2, fe), (1, h2))
-    s, t = _combine((1, e), (1, f)), _combine((1, e), (-1, f))
-    op["16A"] = _combine((1, mul(s, s)), (-4, one))
-    op["16B"] = _combine((1, h2), (-4, one))
-    op["16C"] = _combine((-1, mul(t, t)), (-4, one))
-    op["64Delta"] = _combine(
-        (1, mul(_combine((1, h), (2, one)), op["F2"])),
-        (-1, mul(_combine((1, h), (-2, one)), op["E2"])),
+    pairs = lambda ab: [int((a, b) == ab) for a, b, _c, _e in orbs]
+    diagonal = lambda f: [f(c) * (a == b == 0) for a, b, c, _e in orbs]
+    below, equal, above = pairs((0, 2)), pairs((1, 1)), pairs((2, 0))
+    e2, f2, h2, ef, fe = mul(E, E), mul(F, F), mul(H, H), mul(E, F), mul(F, E)
+    s, t = _combine((1, E), (1, F)), _combine((1, E), (-1, F))
+    a16 = _combine((1, mul(s, s)), (-4, one))
+    b16 = _combine((1, h2), (-4, one))
+    c16 = _combine((-1, mul(t, t)), (-4, one))
+    cas2 = _combine((2, ef), (2, fe), (1, h2))
+    delta64 = _combine(
+        (1, mul(_combine((1, H), (2, one)), f2)), (-1, mul(_combine((1, H), (-2, one)), e2))
     )
-    for label, lhs, rhs in (
-        ("[H,E] = 2E", _combine((1, mul(h, e)), (-1, mul(e, h))), _combine((2, e))),
-        ("[H,F] = -2F", _combine((1, mul(h, f)), (-1, mul(f, h))), _combine((-2, f))),
-        ("[E,F] = H", _combine((1, ef), (-1, fe)), h),
-        ("A2J = 2 - D/2 + 4(A + C)", _combine((4, op["A2J"])),
-         _combine((8 - 2 * D, one), (1, op["16A"]), (1, op["16C"]))),
-        ("A2Jbar = 4(A - C)", _combine((4, op["A2Jbar"])),
-         _combine((1, op["16A"]), (-1, op["16C"]))),
-        ("A2star = 2 - D/2 + 8B", _combine((2, op["2A2star"])),
-         _combine((8 - 2 * D, one), (2, op["16B"]))),
-    ):
-        if lhs != rhs:
-            raise ArithmeticError(f"identity fails in orbit coordinates: {label}")
-    return op
+    ops = [E, F, H, A2J, A2Jbar, A2star2, e2, f2, cas2, a16, b16, c16, delta64]
+    residuals = (
+        ("[H,E] = 2E", (1, mul(H, E)), (-1, mul(E, H)), (-2, E)),
+        ("[H,F] = -2F", (1, mul(H, F)), (-1, mul(F, H)), (2, F)),
+        ("[E,F] = H", (1, ef), (-1, fe), (-1, H)),
+        ("E^2 = 2 * (distance-2 sum below)", (1, e2), (-2, below)),
+        ("F^2 = 2 * (distance-2 sum above)", (1, f2), (-2, above)),
+        ("Casimir = (D + (D-2|x|)^2/2) + 2 * (distance-2 sum on level)",
+         (1, cas2), (-1, diagonal(lambda c: 2 * D + (D - 2 * c) ** 2)), (-4, equal)),
+        ("A2J + A2Jbar = full distance-2 operator",
+         (1, A2J), (1, A2Jbar), (-1, below), (-1, equal), (-1, above)),
+        ("A2J = level-preserving distance-2 sum", (1, A2J), (-1, equal)),
+        ("pullback A = D/16 - 1/4 + (A2J + A2Jbar)/8",
+         (1, a16), (4 - D, one), (-2, A2J), (-2, A2Jbar)),
+        ("pullback B = D/16 - 1/4 + A2star/8", (1, b16), (4 - D, one), (-1, A2star2)),
+        ("pullback C = D/16 - 1/4 + (A2J - A2Jbar)/8",
+         (1, c16), (4 - D, one), (-2, A2J), (2, A2Jbar)),
+        ("A2J = 2 - D/2 + 4(A + C)", (4, A2J), (2 * D - 8, one), (-1, a16), (-1, c16)),
+        ("A2Jbar = 4(A - C)", (4, A2Jbar), (-1, a16), (1, c16)),
+        ("A2star = 2 - D/2 + 8B", (2, A2star2), (2 * D - 8, one), (-2, b16)),
+        ("pullback B is the dual-distance diagonal closed form",
+         (1, b16), (-1, diagonal(lambda c: (D - 2 * c) ** 2 - 4))),
+    )
+    sizes = [_orbit_size(o) for o in orbs]
+    checks = []
+    for label, *terms in residuals:
+        count = sum(size for size, x in zip(sizes, _combine(*terms)) if x)
+        checks.append(CheckResult(label, count == 0, count))
+    # On a level (a = b) the subset graph joins the pairs with a = b = 1.
+    blocks_ok = all(x == (a == 1) for (a, b, _c, _e), x in zip(orbs, A2J) if a == b)
+    checks.append(
+        CheckResult("A2J level blocks are subset-graph adjacencies", blocks_ok, int(not blocks_ok))
+    )
+    return ops, tuple(checks)
+
+
+@lru_cache(maxsize=MAX_ORBIT_D)
+def cube_build(D: int) -> tuple[tuple[tuple[int, ...], ...], tuple[CheckResult, ...]]:
+    """``check_list`` on E, F, H, A2J, A2Jbar and 2*A2star built from their
+    definitions, made once per D; every vector is a tuple, so the cached
+    value is read-only."""
+    orbs = orbits(D)
+    ops, checks = check_list(
+        D,
+        [int(a == 0 and b == 1) for a, b, _c, _e in orbs],
+        [int(a == 1 and b == 0) for a, b, _c, _e in orbs],
+        [(D - 2 * c) * (a == b == 0) for a, b, c, _e in orbs],
+        [int(a == b == 1) for a, b, _c, _e in orbs],
+        [int({a, b} == {0, 2}) for a, b, _c, _e in orbs],
+        [((D - 2 * c) ** 2 - D) * (a == b == 0) for a, b, c, _e in orbs],
+    )
+    return tuple(map(tuple, ops)), checks
+
+
+def cube_operators(D: int) -> dict[str, tuple[int, ...]]:
+    """The operators of ``cube_build`` by their OPERATORS names; raises if
+    one of its checks fails."""
+    ops, checks = cube_build(D)
+    failed = [c.identity for c in checks if not c.passed]
+    if failed:
+        raise ArithmeticError(f"identity fails in orbit coordinates: {failed}")
+    return dict(zip(OPERATORS, ops))

@@ -3,9 +3,10 @@ the hypercube module, the level-graph operators, and pullbacks along the
 homomorphism from the Racah presentation.
 
 Vertices of the D-cube are the subsets of {1..D} in binary-counter order
-(subset s maps to the integer with bit i-1 set for each i in s).  All
-operators are built from the distance relations and cross-checked against
-the closed forms; any discrepancy raises at build time.
+(subset s maps to the integer with bit i-1 set for each i in s).  The dense
+cube is built from the distance relations, for D <= MAX_DENSE_D; its
+operators are cross-checked in orbit coordinates against the closed forms
+of ``orbit.check_list``, and any discrepancy raises at build time.
 """
 
 from __future__ import annotations
@@ -13,17 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError, DimensionMismatch, RelationFailure
 from .gaussian import GaussianRational, ZERO, gr
 from .matrix import ExactMatrix, _from_ints, commutator
+from .orbit import check_list, orbit_vector
 from .pbw import CheckResult
 from .racah import RacahRep, ensure_verified
 
 _QUARTER = GaussianRational(Fraction(1, 4))
 
-MAX_DENSE_D = 12
+MAX_DENSE_D = 8
 
 
 @dataclass(frozen=True)
@@ -327,107 +328,25 @@ def build_hypercube(D: int) -> tuple[Sl2Rep, GraphOperators]:
     return rep, ops
 
 
-def _r2_split_operators(space: HypercubeSpace, n: int):
-    """R2 sums split by level movement: below, equal, above."""
-    below: set[tuple[int, int]] = set()
-    equal: set[tuple[int, int]] = set()
-    above: set[tuple[int, int]] = set()
-    for x, y in space.r2:
-        for src, dst in ((x, y), (y, x)):
-            ks, kd = src.bit_count(), dst.bit_count()
-            if kd < ks:
-                below.add((dst, src))
-            elif kd == ks:
-                equal.add((dst, src))
-            else:
-                above.add((dst, src))
-    return (
-        _rows_to_matrix(below, n),
-        _rows_to_matrix(equal, n),
-        _rows_to_matrix(above, n),
-    )
-
-
-def johnson_adjacency(D: int, k: int) -> ExactMatrix:
-    """Adjacency matrix of the level-k subset graph, on sorted k-subsets."""
-    verts = [sum(1 << (i - 1) for i in combo) for combo in combinations(range(1, D + 1), k)]
-    verts.sort()
-    index = {v: pos for pos, v in enumerate(verts)}
-    cells = {(index[v], index[w]) for v in verts for w in verts if (v ^ w).bit_count() == 2}
-    return _rows_to_matrix(cells, len(verts))
-
-
 def hypercube_checks(
     rep: Sl2Rep, ops: GraphOperators, space: HypercubeSpace
 ) -> list[CheckResult]:
-    """Dual-route consistency checks for the cube build."""
-    D = space.D
-    n = rep.dim
-    checks = list(relation_checks(rep))
-    below, equal, above = _r2_split_operators(space, n)
-    e2 = rep.E * rep.E
-    f2 = rep.F * rep.F
-    lam = casimir_matrix(rep)
-    lam_diag = ExactMatrix.diagonal(
-        [
-            Fraction(2 * D) / 2 + Fraction((D - 2 * x.bit_count()) ** 2, 2)
-            for x in space.vertices
-        ]
-    )
-    for label, residual in (
-        ("E^2 = 2 * (distance-2 sum below)", e2 - below * 2),
-        ("F^2 = 2 * (distance-2 sum above)", f2 - above * 2),
-        ("Casimir = (D + (D-2|x|)^2/2) + 2 * (distance-2 sum on level)", lam - lam_diag - equal * 2),
-        ("A2J + A2Jbar = full distance-2 operator", ops.A2J + ops.A2Jbar - below - equal - above),
-        ("A2J = level-preserving distance-2 sum", ops.A2J - equal),
-    ):
-        checks.append(CheckResult(label, residual.is_zero(), residual.nonzero_count()))
-    pull = sharp_pullback(rep)
-    quarter_term = ExactMatrix.scalar_matrix(n, GaussianRational(Fraction(D, 16) - Fraction(1, 4)))
-    eighth = GaussianRational(Fraction(1, 8))
-    for label, residual in (
-        ("pullback A = D/16 - 1/4 + (A2J + A2Jbar)/8", pull.A - quarter_term - (ops.A2J + ops.A2Jbar) * eighth),
-        ("pullback B = D/16 - 1/4 + A2star/8", pull.B - quarter_term - ops.A2star * eighth),
-        ("pullback C = D/16 - 1/4 + (A2J - A2Jbar)/8", pull.C - quarter_term - (ops.A2J - ops.A2Jbar) * eighth),
-    ):
-        checks.append(CheckResult(label, residual.is_zero(), residual.nonzero_count()))
-    half_d = ExactMatrix.scalar_matrix(n, GaussianRational(2 - Fraction(D, 2)))
-    for label, residual in (
-        ("A2J = 2 - D/2 + 4(A + C)", ops.A2J - half_d - (pull.A + pull.C) * 4),
-        ("A2Jbar = 4(A - C)", ops.A2Jbar - (pull.A - pull.C) * 4),
-        ("A2star = 2 - D/2 + 8B", ops.A2star - half_d - pull.B * 8),
-    ):
-        checks.append(CheckResult(label, residual.is_zero(), residual.nonzero_count()))
-    b_closed = ExactMatrix.diagonal(
-        [
-            Fraction((D - 2 * x.bit_count()) ** 2, 16) - Fraction(1, 4)
-            for x in space.vertices
-        ]
-    )
-    residual = pull.B - b_closed
-    checks.append(
-        CheckResult(
-            "pullback B is the dual-distance diagonal closed form",
-            residual.is_zero(),
-            residual.nonzero_count(),
-        )
-    )
-    # Level blocks of the level-preserving operator are the subset-graph adjacencies.
-    blocks_ok = True
-    for k in range(D + 1):
-        idx = [v for v in space.vertices if v.bit_count() == k]
-        if not idx:
-            continue
-        block = ops.A2J.submatrix(idx, idx)
-        if block != johnson_adjacency(D, k):
-            blocks_ok = False
-    checks.append(CheckResult("A2J level blocks are subset-graph adjacencies", blocks_ok, 0 if blocks_ok else 1))
-    return checks
+    """The cube build's consistency checks: ``orbit.check_list`` on the orbit
+    vectors of E, F, H, A2J, A2Jbar and 2*A2star.
 
-
-def verify_hypercube(D: int) -> list[CheckResult]:
-    """The consistency checks of the D-cube build, failed ones included."""
-    return list(_checked_hypercube(D)[2])
+    Raises RelationFailure if one of them is not S_D-invariant or not an
+    integer matrix, since only such operators have integer orbit vectors.
+    """
+    vectors = []
+    for name, matrix, scale in (
+        ("E", rep.E, 1), ("F", rep.F, 1), ("H", rep.H, 1),
+        ("A2J", ops.A2J, 1), ("A2Jbar", ops.A2Jbar, 1), ("2*A2star", ops.A2star, 2),
+    ):
+        vec = orbit_vector(matrix, space.D)
+        if vec is None or vec[1] is not None or any(scale * x % matrix.den for x in vec[0]):
+            raise RelationFailure(f"{name} is not an S_D-invariant integer operator")
+        vectors.append([scale * x // matrix.den for x in vec[0]])
+    return list(check_list(space.D, *vectors)[1])
 
 
 # -- the halved cube -------------------------------------------------------

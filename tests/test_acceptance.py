@@ -26,6 +26,7 @@ from racahlab.decompose import (
 )
 from racahlab.gaussian import GaussianRational
 from racahlab.leonard import check as leonard_check
+from racahlab.orbit import cube_build, cube_operators
 from racahlab.racah import central_values, verify_presentation, verify_section6_relations
 from racahlab.rd import (
     RdParams,
@@ -49,8 +50,8 @@ from racahlab.sl2 import (
 )
 
 CUBE_RANGE = range(2, 9)
-# past the dense range: the cube goes through its copies of L_n only
-BEYOND_DENSE = range(9, 13)
+# past the dense cap: orbit coordinates and the copies of L_n only
+BEYOND_DENSE = range(9, 17)
 
 
 def _forbid_dense_cube(monkeypatch):
@@ -175,14 +176,14 @@ def test_criterion_07_complete_reducibility_and_leonard(monkeypatch):
             ok &= all(g.leonard_passed for g in report.summands)
             ok &= report.total_dim() == dim
     _report(
-        "7 (complete reducibility + Leonard on every summand, D <= 12, n <= 12)",
+        "7 (complete reducibility + Leonard on every summand, D <= 16, n <= 12)",
         ok,
         time.monotonic() - start,
         300.0,
     )
 
 
-def test_criterion_08_cube_operator_identities_and_surjectivity():
+def test_criterion_08_cube_operator_identities_and_surjectivity(monkeypatch):
     start = time.monotonic()
     ok = True
     for D in CUBE_RANGE:
@@ -197,7 +198,16 @@ def test_criterion_08_cube_operator_identities_and_surjectivity():
         ok &= all(
             pull_closure.contains(m) for m in (ops.A2J, ops.A2Jbar, ops.A2star)
         )
-    _report("8 (operator identities and surjectivity, D in 2..8)", ok, time.monotonic() - start)
+    _forbid_dense_cube(monkeypatch)
+    for D in BEYOND_DENSE:
+        ok &= all(c.passed for c in cube_build(D)[1])
+        graph_closure = cube_operator_closure(D)
+        pull_closure = cube_pullback_closure(D)
+        op = cube_operators(D)
+        ok &= graph_closure.dim == pull_closure.dim
+        ok &= all(graph_closure.contains_vector(op[k]) for k in ("16A", "16B", "16C"))
+        ok &= all(pull_closure.contains_vector(op[k]) for k in ("A2J", "A2Jbar", "2A2star"))
+    _report("8 (operator identities and surjectivity, D in 2..16)", ok, time.monotonic() - start)
 
 
 def test_criterion_09_algebra_dimension_and_blocks(monkeypatch):
@@ -209,7 +219,7 @@ def test_criterion_09_algebra_dimension_and_blocks(monkeypatch):
         ok &= profile.dim == block_dimension_formula(D)
         ok &= profile.blocks == expected_block_profile(D)
     _report(
-        "9 (algebra dimension formula and block profiles, D in 2..12)",
+        "9 (algebra dimension formula and block profiles, D in 2..16)",
         ok,
         time.monotonic() - start,
         600.0,
@@ -226,9 +236,9 @@ def test_criterion_10_even_restriction_comparison():
         ok &= cmp.equal == (D % 2 == 1)
         if cmp.te_classes_ok is not None:
             ok &= cmp.te_classes_ok
-    # odd D past the dense range: orbit coordinates only, no dense build
-    for D in (9, 11):
+    # odd D past the dense cap: orbit coordinates only, no dense build
+    for D in BEYOND_DENSE[::2]:
         cmp = compare_te_re(D)
         ok &= cmp.contained
         ok &= cmp.dim_te == cmp.dim_re == block_dimension_formula(D)
-    _report("10 (even-restriction algebras equal iff D odd, D in 2..8, 9, 11)", ok, time.monotonic() - start)
+    _report("10 (even-restriction algebras equal iff D odd, D in 2..8 and odd 9..15)", ok, time.monotonic() - start)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from racahlab import leonard, rd
+from racahlab import cli, leonard, rd, sl2
 from racahlab.cli import build_parser, main, run_suite, SuiteConfig, SUITE_TARGETS
 from racahlab.gaussian import GaussianRational
 from racahlab.racah import rep_to_text
@@ -109,6 +109,17 @@ def test_hypercube_verify(capsys):
     assert all(entry["pass"] for entry in json.loads(out))
 
 
+def test_verify_and_thm1_8_build_no_dense_cube(monkeypatch, capsys):
+    def dense(D):
+        raise AssertionError(f"dense cube build at D={D}")
+
+    monkeypatch.setattr(sl2, "_checked_hypercube", dense)
+    status, out = _run(capsys, "hypercube", "verify", "--D", "9")
+    assert status == 0 and len(json.loads(out)) == 16
+    status, out = _run(capsys, "suite", "--targets", "thm1_8", "--D", "9..9")
+    assert status == 0 and json.loads(out)["ok"]
+
+
 def test_hypercube_export(tmp_path, capsys):
     status, _ = _run(
         capsys, "hypercube", "build", "--D", "2", "--export", str(tmp_path)
@@ -173,20 +184,24 @@ def test_missing_required_argument(capsys):
         ["racah", "verify", "--rep", "{zero_den}"],
         ["racah", "verify", "--rep", "{ragged}"],
         ["hypercube", "build", "--D", "40"],
-        ["hypercube", "verify", "--D", "13"],
+        ["hypercube", "verify", "--D", "17"],
         ["hypercube", "build", "--D", "1"],
         ["decompose", "--target", "Ln", "--n", "-1"],
         ["rd", "analyze", "--a", "1", "--b", "1", "--c", "1", "--d", "-1"],
         ["racah", "verify", "--rep", "{repeated}"],
         ["racah", "verify", "--rep", "{negative_header}"],
-        ["compare-te-re", "--D", "13"],
-        ["suite", "--targets", "thm8_7", "--D", "13..13"],
+        ["compare-te-re", "--D", "17"],
+        ["suite", "--targets", "thm8_7", "--D", "17..17"],
+        ["hypercube", "build", "--D", "9"],
+        ["suite", "--targets", "thm1_4", "--D", "2..17"],
+        ["suite", "--targets", "thm8_4", "--D", "2..9", "--export-matrices", "{no_dir}"],
     ],
     ids=["zero-denominator-flag", "bad-token-flag", "unwritable-out", "bad-range",
          "export-under-a-file", "missing-rep", "missing-rep-leonard", "short-block", "zero-denominator-file",
-         "mismatched-blocks", "cube-above-dense-cap", "verify-above-dense-cap", "cube-below-2",
+         "mismatched-blocks", "cube-above-dense-cap", "verify-above-orbit-cap", "cube-below-2",
          "negative-highest-weight", "negative-rd-size", "repeated-block-label", "negative-header",
-         "compare-above-dense-cap", "suite-thm8_7-above-dense-cap"],
+         "compare-above-orbit-cap", "suite-thm8_7-above-orbit-cap", "build-D9-above-dense-cap",
+         "suite-above-orbit-cap", "suite-export-above-dense-cap"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     files = {
@@ -248,6 +263,18 @@ def test_suite_unknown_target(capsys):
     status = main(["suite", "--targets", "not_a_target"])
     assert status == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--D", "2..17"], ["--D", "8..9", "--export-matrices", "{tmp}/cube"]])
+def test_suite_checks_D_before_any_target_runs(extra, tmp_path, monkeypatch, capsys):
+    def ran(cfg):
+        raise AssertionError("a target ran")
+
+    monkeypatch.setitem(cli._TARGET_RUNNERS, "thm8_4", ran)
+    status = main(["suite", "--targets", "thm8_4", *[arg.format(tmp=tmp_path) for arg in extra]])
+    assert status == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "cube").exists()
 
 
 def test_suite_cli_writes_report(tmp_path, capsys):

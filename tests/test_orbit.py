@@ -11,7 +11,7 @@ from racahlab import orbit
 from racahlab.decompose import compare_te_re, cube_operator_closure, cube_pullback_closure
 from racahlab.errors import ConfigError, DimensionMismatch
 from racahlab.matrix import ExactMatrix, _from_ints
-from racahlab.sl2 import MAX_DENSE_D, build_hypercube, halved_cube, sharp_pullback
+from racahlab.sl2 import build_hypercube, halved_cube, sharp_pullback
 from racahlab.span import algebra_closure
 
 
@@ -140,7 +140,7 @@ def test_contains_rejects_wrong_size():
         cube_operator_closure(3).contains(ExactMatrix.from_rows([[0] * 8] * 4))
 
 
-@pytest.mark.parametrize("D", [0, 1, MAX_DENSE_D + 1, 500])
+@pytest.mark.parametrize("D", [0, 1, orbit.MAX_ORBIT_D + 1, 500])
 def test_orbit_entry_points_bound_D(D):
     for call in (orbit.cube_operators, cube_operator_closure, cube_pullback_closure, compare_te_re):
         with pytest.raises(ConfigError):

@@ -1,11 +1,16 @@
 """Concrete modules: irreducibles, halves, the cube and its operators."""
 
+import json
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from racahlab import sl2
-from racahlab.gaussian import gr
+from racahlab import decompose, orbit, sl2
+from racahlab.cli import main
+from racahlab.errors import RelationFailure
+from racahlab.gaussian import GaussianRational, gr
 from racahlab.pbw import CheckResult
 from racahlab.matrix import ExactMatrix, commutator
 from racahlab.racah import central_values, verify_presentation
@@ -18,11 +23,10 @@ from racahlab.sl2 import (
     even_pullback,
     half_pullback,
     halved_cube,
+    hypercube_checks,
     hypercube_space,
-    johnson_adjacency,
     relation_checks,
     sharp_pullback,
-    verify_hypercube,
 )
 
 
@@ -121,8 +125,10 @@ class TestHypercube:
 
     @pytest.mark.parametrize("D", [2, 3, 4])
     def test_full_check_suite(self, D):
-        checks = verify_hypercube(D)
+        checks = list(orbit.cube_build(D)[1])
         assert checks and all(c.passed for c in checks)
+        rep, ops = build_hypercube(D)
+        assert hypercube_checks(rep, ops, hypercube_space(D)) == checks
 
     def test_johnson_blocks(self):
         _rep, ops = build_hypercube(4)
@@ -136,40 +142,140 @@ class TestHypercube:
             build_hypercube(13)
 
 
+# -- the dense oracle of the cube's check list -----------------------------
+
+
+def _r2_split_operators(space, n):
+    """R2 sums split by level movement: below, equal, above."""
+    below, equal, above = set(), set(), set()
+    for x, y in space.r2:
+        for src, dst in ((x, y), (y, x)):
+            ks, kd = src.bit_count(), dst.bit_count()
+            if kd < ks:
+                below.add((dst, src))
+            elif kd == ks:
+                equal.add((dst, src))
+            else:
+                above.add((dst, src))
+    return tuple(sl2._rows_to_matrix(cells, n) for cells in (below, equal, above))
+
+
+def johnson_adjacency(D, k):
+    """Adjacency matrix of the level-k subset graph, on sorted k-subsets."""
+    verts = sorted(sum(1 << (i - 1) for i in combo) for combo in combinations(range(1, D + 1), k))
+    index = {v: pos for pos, v in enumerate(verts)}
+    cells = {(index[v], index[w]) for v in verts for w in verts if (v ^ w).bit_count() == 2}
+    return sl2._rows_to_matrix(cells, len(verts))
+
+
+def dense_hypercube_checks(rep, ops, space):
+    """The cube's check list on dense 2^D matrices: each residual's count is
+    its number of nonzero entries."""
+    D = space.D
+    n = rep.dim
+    checks = list(relation_checks(rep))
+    below, equal, above = _r2_split_operators(space, n)
+    lam_diag = ExactMatrix.diagonal(
+        [D + Fraction((D - 2 * x.bit_count()) ** 2, 2) for x in space.vertices]
+    )
+    pull = sharp_pullback(rep)
+    shift = ExactMatrix.scalar_matrix(n, GaussianRational(Fraction(D, 16) - Fraction(1, 4)))
+    eighth = gr(Fraction(1, 8))
+    half_d = ExactMatrix.scalar_matrix(n, GaussianRational(2 - Fraction(D, 2)))
+    b_closed = ExactMatrix.diagonal(
+        [Fraction((D - 2 * x.bit_count()) ** 2, 16) - Fraction(1, 4) for x in space.vertices]
+    )
+    for label, residual in (
+        ("E^2 = 2 * (distance-2 sum below)", rep.E * rep.E - below * 2),
+        ("F^2 = 2 * (distance-2 sum above)", rep.F * rep.F - above * 2),
+        ("Casimir = (D + (D-2|x|)^2/2) + 2 * (distance-2 sum on level)",
+         casimir_matrix(rep) - lam_diag - equal * 2),
+        ("A2J + A2Jbar = full distance-2 operator", ops.A2J + ops.A2Jbar - below - equal - above),
+        ("A2J = level-preserving distance-2 sum", ops.A2J - equal),
+        ("pullback A = D/16 - 1/4 + (A2J + A2Jbar)/8", pull.A - shift - (ops.A2J + ops.A2Jbar) * eighth),
+        ("pullback B = D/16 - 1/4 + A2star/8", pull.B - shift - ops.A2star * eighth),
+        ("pullback C = D/16 - 1/4 + (A2J - A2Jbar)/8", pull.C - shift - (ops.A2J - ops.A2Jbar) * eighth),
+        ("A2J = 2 - D/2 + 4(A + C)", ops.A2J - half_d - (pull.A + pull.C) * 4),
+        ("A2Jbar = 4(A - C)", ops.A2Jbar - (pull.A - pull.C) * 4),
+        ("A2star = 2 - D/2 + 8B", ops.A2star - half_d - pull.B * 8),
+        ("pullback B is the dual-distance diagonal closed form", pull.B - b_closed),
+    ):
+        checks.append(CheckResult(label, residual.is_zero(), residual.nonzero_count()))
+    blocks_ok = all(
+        ops.A2J.submatrix(idx, idx) == johnson_adjacency(D, k)
+        for k in range(D + 1)
+        for idx in [[v for v in space.vertices if v.bit_count() == k]]
+    )
+    checks.append(CheckResult("A2J level blocks are subset-graph adjacencies", blocks_ok, 0 if blocks_ok else 1))
+    return checks
+
+
+@pytest.mark.parametrize("D", range(2, 8))
+def test_check_list_matches_dense_oracle(D):
+    rep, ops = build_hypercube(D)
+    space = hypercube_space(D)
+    perturbed = replace(ops, A2J=ops.A2J + ExactMatrix.identity(rep.dim))
+    for graph in (ops, perturbed):
+        assert hypercube_checks(rep, graph, space) == dense_hypercube_checks(rep, graph, space)
+    failed = [c for c in hypercube_checks(rep, perturbed, space) if not c.passed]
+    assert len(failed) == 6 and all(c.residual_term_count for c in failed)
+
+
+def test_check_list_rejects_non_invariant_or_fractional_operators():
+    rep, ops = build_hypercube(3)
+    space = hypercube_space(3)
+    unit = ExactMatrix.from_rows([[int((i, j) == (0, 1)) for j in range(8)] for i in range(8)])
+    for graph in (replace(ops, A2J=unit), replace(ops, A2Jbar=ops.A2Jbar * gr(Fraction(1, 2)))):
+        with pytest.raises(RelationFailure):
+            hypercube_checks(rep, graph, space)
+
+
 @pytest.fixture
 def counted_checks(monkeypatch):
-    """An empty cube cache and a hypercube_checks that records each D it checks.
+    """Empty cube caches and an ``orbit.check_list`` that records each D it checks.
 
     Appending to ``planted`` adds those results to every later pass.
     """
     seen, planted = [], []
-    original = sl2.hypercube_checks
+    original = orbit.check_list
 
-    def counted(rep, ops, space):
-        seen.append(space.D)
-        return original(rep, ops, space) + planted
+    def counted(D, *base):
+        seen.append(D)
+        ops, checks = original(D, *base)
+        return ops, checks + tuple(planted)
 
-    monkeypatch.setattr(sl2, "hypercube_checks", counted)
-    sl2._checked_hypercube.cache_clear()
+    caches = (orbit.cube_build, decompose.cube_operator_closure, decompose.cube_pullback_closure,
+              decompose.compare_te_re, decompose.cube_decompose, decompose.halved_decompose)
+    monkeypatch.setattr(orbit, "check_list", counted)
+    for cache in caches:
+        cache.cache_clear()
     yield seen, planted
-    sl2._checked_hypercube.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
-def test_build_and_verify_share_one_checked_build(counted_checks):
+def test_build_and_verify_share_one_checked_build(counted_checks, capsys):
     seen, _planted = counted_checks
-    built = build_hypercube(3)
-    checks = verify_hypercube(3)
-    assert build_hypercube(3) == built
-    assert seen == [3]
-    assert checks and all(c.passed for c in checks)
+    assert main(["hypercube", "verify", "--D", "4"]) == 0
+    checks = json.loads(capsys.readouterr().out)
+    decompose.cube_operator_closure(4)
+    decompose.cube_pullback_closure(4)
+    decompose.compare_te_re(4)
+    decompose.cube_decompose(4)
+    decompose.halved_decompose(4)
+    assert orbit.cube_operators(4)["E"] == orbit.cube_build(4)[0][0]
+    assert seen == [4]
+    assert checks and all(c["pass"] for c in checks)
 
 
-def test_failed_build_check_raises_but_is_reported(counted_checks):
+def test_failed_build_check_raises_but_is_reported(counted_checks, capsys):
     _seen, planted = counted_checks
     planted.append(CheckResult("planted failure", False, 1))
-    assert [c.identity for c in verify_hypercube(2) if not c.passed] == ["planted failure"]
+    assert main(["hypercube", "verify", "--D", "2"]) == 1
+    checks = json.loads(capsys.readouterr().out)
+    assert [c["identity"] for c in checks if not c["pass"]] == ["planted failure"]
     with pytest.raises(ArithmeticError, match="planted failure"):
-        build_hypercube(2)
+        orbit.cube_operators(2)
 
 
 def test_halved_cube_dimensions():
