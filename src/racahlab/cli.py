@@ -31,6 +31,12 @@ from .sl2 import MAX_DENSE_D, build_hypercube, build_Ln
 
 REPORT_SCHEMA = "racahlab-report/1"
 
+# The largest --d (R_d) or --n (L_n) the CLI accepts.  Timed as whole
+# processes on a 2-vCPU x86-64 guest: at 32 `rd analyze` takes 0.6 s and
+# `decompose --target Ln` 0.3 s, while a `lemma6_suite` sample takes about a
+# minute; `rd analyze` takes 7 s at 64 and 37 s (480 MB) at 96.
+MAX_MODULE_SIZE = 32
+
 SUITE_TARGETS = (
     "thm1_4",
     "thm1_5",
@@ -367,6 +373,7 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     if not 2 <= lo <= hi <= cap:
         exported = " with --export-matrices" if cfg.export_matrices else ""
         raise ConfigError(f"--D must lie in 2..{cap}{exported}")
+    _module_size(cfg.d_range[1], "--d")
     results = {target: _TARGET_RUNNERS[target](cfg) for target in cfg.targets}
     checks: list[dict] = []
     for target in sorted(results):
@@ -470,6 +477,12 @@ def _parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise ConfigError(f"empty range {text!r}")
     return lo, hi
+
+
+def _module_size(value: int, flag: str) -> int:
+    if value > MAX_MODULE_SIZE:
+        raise ConfigError(f"{flag} must be at most {MAX_MODULE_SIZE}")
+    return value
 
 
 def _parse_scalar(text: str) -> GaussianRational:
@@ -593,7 +606,8 @@ def _dispatch(args) -> int:
 
     if args.command == "rd":
         params = rd.RdParams(
-            _parse_scalar(args.a), _parse_scalar(args.b), _parse_scalar(args.c), args.d
+            _parse_scalar(args.a), _parse_scalar(args.b), _parse_scalar(args.c),
+            _module_size(args.d, "--d"),
         )
         if args.rd_command == "build":
             rep = rd.construct(params)
@@ -653,7 +667,7 @@ def _dispatch(args) -> int:
         else:
             if args.n is None:
                 raise ConfigError("--n is required for the Ln target")
-            report = dec.re_decompose(build_Ln(args.n))
+            report = dec.re_decompose(build_Ln(_module_size(args.n, "--n")))
         _emit(_dump(_decomposition_json(report)), None)
         return 0 if report.complete else 1
 

@@ -51,7 +51,7 @@ from .sl2 import (
     half_pullback,
     sharp_pullback,
 )
-from .span import VectorSpan, algebra_closure
+from .span import VectorSpan, is_full_matrix_algebra
 
 Vector = tuple[GaussianRational, ...]
 
@@ -462,8 +462,7 @@ def _certify_part(
         raise ClassMismatch(
             f"traces certify {iso.label()}, expected {expected.label()}"
         )
-    closure = algebra_closure(list(restricted))
-    if closure.dim != (d + 1) ** 2:
+    if not is_full_matrix_algebra(restricted):
         raise NotIrreducible("closure oracle refutes irreducibility of a part")
     dim = len(vectors[0])
     return CertifiedPart(iso, expected, Subspace.from_vectors(dim, vectors), restricted)

@@ -126,14 +126,19 @@ def _conjugate_into_eigenbasis(
     return tuple(ordered_values), transformed, True, True
 
 
+def _support(m: ExactMatrix) -> set[tuple[int, int]]:
+    """The positions of the nonzero entries, read off the stored integer rows."""
+    im_rows = m.im or m.re  # a real matrix pairs each entry with itself
+    return {
+        (i, j)
+        for i, (re_row, im_row) in enumerate(zip(m.re, im_rows))
+        for j, (x, y) in enumerate(zip(re_row, im_row))
+        if x or y
+    }
+
+
 def _support_edges(matrices: Sequence[ExactMatrix]) -> set[frozenset[int]]:
-    edges: set[frozenset[int]] = set()
-    for m in matrices:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                if i != j and m.entry(i, j):
-                    edges.add(frozenset((i, j)))
-    return edges
+    return {frozenset(pos) for m in matrices for pos in _support(m) if pos[0] != pos[1]}
 
 
 def _permute(m: ExactMatrix, order: Sequence[int]) -> ExactMatrix:
@@ -141,15 +146,9 @@ def _permute(m: ExactMatrix, order: Sequence[int]) -> ExactMatrix:
 
 
 def _is_irreducible_tridiagonal(m: ExactMatrix) -> bool:
-    n = m.rows
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) > 1 and m.entry(i, j):
-                return False
-    for k in range(n - 1):
-        if not m.entry(k, k + 1) or not m.entry(k + 1, k):
-            return False
-    return True
+    support = _support(m)
+    band = {(k, k + 1) for k in range(m.rows - 1)} | {(k + 1, k) for k in range(m.rows - 1)}
+    return band <= support and all(abs(i - j) <= 1 for i, j in support)
 
 
 def _condition(

@@ -8,7 +8,8 @@ operations all run on these integer rows; ``GaussianRational`` entries
 appear only in the views built on demand (``entries``, ``entry``,
 ``row_list`` and the text format).  All row reduction (``rref``,
 ``kernel_basis``, ``solve_columns``, ``Subspace`` and ``VectorSpan``) runs on
-one fraction-free integer echelon.
+one fraction-free integer echelon; ranks mod a prime only certify
+independence ahead of it.
 """
 
 from __future__ import annotations
@@ -535,6 +536,85 @@ class VectorSpan:
         return [piv for piv, _row in found], [row for _piv, row in found]
 
 
+def _walk(seeds, gens, product, add, full: int) -> list:
+    """The words kept by offering the seeds and then each kept word
+    left-multiplied by each generator, breadth first, to ``add``, until
+    ``full`` words are kept or no word is left to offer."""
+    basis = [c for c in seeds if add(c)]
+    # basis grows while this walks it, so the words come breadth first
+    for w, g in ((w, g) for w in basis for g in gens):
+        if len(basis) == full:
+            break  # nothing enlarges the full algebra
+        prod = product(g, w)
+        if add(prod):
+            basis.append(prod)
+    return basis
+
+
+# -- rank certificates mod a prime -------------------------------------------
+#
+# i -> S (S^2 = -1 mod P) maps the Gaussian rationals whose denominators P
+# does not divide onto F_P, and a matrix's rank is at least the rank of its
+# image.  So independence mod P certifies independence exactly; a dependence
+# mod P proves nothing and is left to the exact echelon.
+
+_P = 2147483629  # the largest prime below 2^31 that is 1 mod 4
+_S = 629208553
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _mod_image(m: ExactMatrix) -> list[list[int]] | None:
+    """The rows of m mod P under i -> S, or None when P divides m.den."""
+    if m.den % _P == 0:
+        return None
+    inv = pow(m.den, -1, _P)
+    im_rows = m.im or [(0,) * m.cols] * m.rows
+    return [[(x + _S * y) * inv % _P for x, y in zip(r, s)] for r, s in zip(m.re, im_rows)]
+
+
+def _mod_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) % _P for col in cols] for row in a]
+
+
+class _ModSpan:
+    """Incremental span over F_P of matrices, flattened row by row.  Each
+    stored row is kept from its pivot on, where it reads 1, and is 0 mod P
+    at the pivots of the rows before it."""
+
+    def __init__(self):
+        self.rows: list[tuple[int, list[int]]] = []
+
+    def add(self, matrix_rows: Iterable[Iterable[int]]) -> bool:
+        """Insert the matrix; True if it enlarged the span."""
+        vec = list(chain.from_iterable(matrix_rows))
+        for piv, tail in self.rows:
+            c = vec[piv] % _P
+            if c:
+                # the entries are reduced mod P only where they are read
+                vec[piv:] = [x - c * y for x, y in zip(vec[piv:], tail)]
+        for piv, x in enumerate(vec):
+            if x % _P:
+                inv = pow(x, -1, _P)
+                self.rows.append((piv, [y * inv % _P for y in vec[piv:]]))
+                return True
+        return False
+
+
+def _mod_degree_bound(matrix: ExactMatrix) -> int:
+    """The least k with matrix^k dependent on the lower powers mod P (0 without
+    an image), a lower bound on the degree of the minimal polynomial."""
+    image = _mod_image(matrix)
+    if image is None:
+        return 0
+    # the words kept are the powers below the first dependent one
+    n = matrix.rows
+    return len(_walk([_identity_rows(n), image], [image], _mod_matmul, _ModSpan().add, n * n))
+
+
 def _span_of_rows(pairs: Iterable, length: int) -> VectorSpan:
     """The span of Gaussian-integer rows given as (real row, imaginary row or None) pairs."""
     span = VectorSpan(length)
@@ -635,18 +715,26 @@ class Subspace:
 
 
 def minimal_polynomial(matrix: ExactMatrix) -> Poly:
-    """Monic least-degree annihilating polynomial, by Krylov span saturation."""
+    """Monic least-degree annihilating polynomial, by Krylov span saturation.
+
+    The powers are independent mod P below the first power k that is not,
+    hence independent exactly, so the degree is at least k and the exact
+    search solves for the powers from k on: one ``solve_columns`` when P
+    reads the degree right, more only after an unlucky P.
+    """
     if not matrix.is_square:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
     n = matrix.rows
+    low = _mod_degree_bound(matrix)
     powers = [ExactMatrix.identity(n)]
     for k in range(n + 1):
         target_matrix = powers[-1] * matrix
-        sol = solve_columns(_flattened(powers).transpose(), _flattened([target_matrix]).transpose())
-        if sol is not None:
-            coeffs = [-sol.entry(j, 0) for j in range(k + 1)]
-            coeffs.append(ONE)
-            return Poly(coeffs)
+        if k + 1 >= low:
+            sol = solve_columns(
+                _flattened(powers).transpose(), _flattened([target_matrix]).transpose()
+            )
+            if sol is not None:
+                return Poly([*(-sol.entry(j, 0) for j in range(k + 1)), ONE])
         powers.append(target_matrix)
     raise RuntimeError("minimal polynomial search did not terminate")
 

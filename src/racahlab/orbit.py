@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import ConfigError, DimensionMismatch
-from .matrix import ExactMatrix, VectorSpan, _strip_content
+from .matrix import ExactMatrix, VectorSpan, _strip_content, _walk
 from .pbw import CheckResult
 
 Orbit = tuple[int, int, int, int]
@@ -170,13 +170,8 @@ def closure(gens: list[list[int]], D: int, even: bool = False) -> OrbitClosure:
     mults = [multiplier(g, D, even) for g in gens]
     size = len(mults[0])
     span = VectorSpan(size)
-    basis = [v for v in seeds if span.add_int(v, None)]
-    for w, mult in ((w, mult) for w in basis for mult in mults):
-        if span.rank == size:
-            break
-        prod = _strip_content(_apply(mult, w))
-        if span.add_int(prod, None):
-            basis.append(prod)
+    product = lambda m, w: _strip_content(_apply(m, w))  # noqa: E731
+    basis = _walk(seeds, mults, product, lambda v: span.add_int(v, None), size)
     return OrbitClosure(D, even, len(basis), span)
 
 

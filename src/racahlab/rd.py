@@ -20,7 +20,7 @@ from .gaussian import GaussianRational, gaussian_sqrt, gr
 from .matrix import ExactMatrix, commutator, minimal_polynomial
 from .polynomial import Poly
 from .racah import RacahRep, ensure_verified
-from .span import algebra_closure
+from .span import is_full_matrix_algebra
 
 _HALF = Fraction(1, 2)
 
@@ -103,8 +103,12 @@ def central_scalars(p: RdParams) -> dict[str, GaussianRational]:
     }
 
 
+@lru_cache(maxsize=32)
 def construct(p: RdParams) -> RacahRep:
-    """Build the verified operator quadruple for the given parameters."""
+    """Build the verified operator quadruple for the given parameters.
+
+    Memoized, so ``min_polys`` reuses the module its caller built.
+    """
     n = p.d + 1
     theta = theta_list(p)
     theta_star = theta_star_list(p)
@@ -165,9 +169,12 @@ def is_irreducible(p: RdParams) -> IrreducibilityWitness:
 
 
 def burnside_irreducible(rep: RacahRep) -> bool:
-    """Independent oracle: the generated algebra is the full matrix algebra."""
-    closure = algebra_closure([rep.A, rep.B, rep.C])
-    return closure.dim == rep.dim * rep.dim
+    """Independent oracle: A, B and C generate the full matrix algebra.
+
+    A closure of full rank mod P certifies that; every "reducible" verdict
+    comes from the exact closure (``span.is_full_matrix_algebra``).
+    """
+    return is_full_matrix_algebra([rep.A, rep.B, rep.C])
 
 
 # -- isomorphism classes -----------------------------------------------------

@@ -6,6 +6,9 @@ and kept if it enlarges the span.  Real words stay real integer rows; from
 the first word with an imaginary part on, the span is realified, so
 membership over the Gaussian rationals is a rational rank test on integer
 rows either way.
+
+``is_full_matrix_algebra`` walks the images mod a prime first, which can
+only certify the full matrix algebra (see its docstring).
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatch
-from .matrix import ExactMatrix, VectorSpan, _from_ints, _gauss_int_matmul
+from .matrix import ExactMatrix, VectorSpan, _from_ints, _gauss_int_matmul, _identity_rows, _walk
+from .matrix import _ModSpan, _mod_image, _mod_matmul
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,17 @@ def _flatten(rows) -> list[int] | None:
     return None if rows is None else [x for row in rows for x in row]
 
 
+def _size(gens: Sequence[ExactMatrix]) -> int:
+    """The common size n of square generators; raises unless there is one."""
+    if not gens:
+        raise ValueError("need at least one generator")
+    n = gens[0].rows
+    for g in gens:
+        if not g.is_square or g.rows != n:
+            raise DimensionMismatch("generators must be square and equally sized")
+    return n
+
+
 def algebra_closure(gens: Sequence[ExactMatrix]) -> ClosureResult:
     """Span-saturate the unital algebra generated by square matrices.
 
@@ -46,21 +61,27 @@ def algebra_closure(gens: Sequence[ExactMatrix]) -> ClosureResult:
     stays a (real rows, imaginary rows or None) integer pair until the basis
     is returned.
     """
-    if not gens:
-        raise ValueError("need at least one generator")
-    n = gens[0].rows
-    for g in gens:
-        if not g.is_square or g.rows != n:
-            raise DimensionMismatch("generators must be square and equally sized")
+    n = _size(gens)
     scaled = [(g.re, g.im) for g in gens]
-    identity = ([[int(i == j) for j in range(n)] for i in range(n)], None)
     span = VectorSpan(n * n)
-    basis = [c for c in [identity, *scaled] if span.add_int(*map(_flatten, c))]
-    # basis grows while this walks it, so the words come breadth first
-    for w, g in ((w, g) for w in basis for g in scaled):
-        if span.rank == n * n:
-            break  # nothing enlarges the full matrix algebra
-        prod = _gauss_int_matmul(g, w, n)
-        if span.add_int(*map(_flatten, prod)):
-            basis.append(prod)
+    basis = _walk(
+        [(_identity_rows(n), None), *scaled],
+        scaled,
+        lambda g, w: _gauss_int_matmul(g, w, n),
+        lambda c: span.add_int(*map(_flatten, c)),
+        n * n,
+    )
     return ClosureResult(len(basis), tuple(_from_ints(1, *b) for b in basis), span)
+
+
+def is_full_matrix_algebra(gens: Sequence[ExactMatrix]) -> bool:
+    """True iff the generators generate the whole n x n matrix algebra.
+
+    The closure walk runs first on the images mod P of the generators that
+    have one; it can only certify, since rank mod P never exceeds the exact
+    rank.  When it stops short of n^2, ``algebra_closure`` decides.
+    """
+    n = _size(gens)
+    images = [image for image in map(_mod_image, gens) if image is not None]
+    kept = _walk([_identity_rows(n), *images], images, _mod_matmul, _ModSpan().add, n * n)
+    return len(kept) == n * n or algebra_closure(gens).dim == n * n

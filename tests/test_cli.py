@@ -195,13 +195,18 @@ def test_missing_required_argument(capsys):
         ["hypercube", "build", "--D", "9"],
         ["suite", "--targets", "thm1_4", "--D", "2..17"],
         ["suite", "--targets", "thm8_4", "--D", "2..9", "--export-matrices", "{no_dir}"],
+        ["rd", "analyze", "--a", "1", "--b", "0", "--c", "0", "--d", "33"],
+        ["rd", "build", "--a", "1", "--b", "0", "--c", "0", "--d", "33"],
+        ["suite", "--targets", "lemma6_suite", "--d", "0..33"],
+        ["decompose", "--target", "Ln", "--n", "33"],
     ],
     ids=["zero-denominator-flag", "bad-token-flag", "unwritable-out", "bad-range",
          "export-under-a-file", "missing-rep", "missing-rep-leonard", "short-block", "zero-denominator-file",
          "mismatched-blocks", "cube-above-dense-cap", "verify-above-orbit-cap", "cube-below-2",
          "negative-highest-weight", "negative-rd-size", "repeated-block-label", "negative-header",
          "compare-above-orbit-cap", "suite-thm8_7-above-orbit-cap", "build-D9-above-dense-cap",
-         "suite-above-orbit-cap", "suite-export-above-dense-cap"],
+         "suite-above-orbit-cap", "suite-export-above-dense-cap", "analyze-above-size-cap",
+         "build-above-size-cap", "suite-d-above-size-cap", "Ln-above-size-cap"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     files = {

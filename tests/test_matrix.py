@@ -10,14 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from racahlab.errors import DimensionMismatch, RootsMismatch
-from racahlab.gaussian import GaussianRational, I, gr
+from racahlab.gaussian import ONE, GaussianRational, I, gr
+from racahlab import matrix as matrix_module
 from racahlab.matrix import (
+    _P,
+    _S,
     ExactMatrix,
     RootSearch,
     Subspace,
     VectorSpan,
     _IntEchelon,
+    _flattened,
     _lifting_prime,
+    _mod_degree_bound,
     _scalar_maker,
     _vector_ints,
     eigen_split,
@@ -213,6 +218,87 @@ class TestMinimalPolynomial:
                     r = roots[rng.randrange(len(roots))]
                     proper = p // Poly((-gr(r), 1))
                     assert not proper.eval_matrix(m).is_zero()
+
+
+# -- the minimal polynomial against the step-by-step exact search --------------
+
+
+def _stepwise_minimal_polynomial(matrix):
+    """The exact Krylov search from degree 1 on: one solve per degree."""
+    powers = [ExactMatrix.identity(matrix.rows)]
+    for k in range(matrix.rows + 1):
+        target = powers[-1] * matrix
+        sol = solve_columns(_flattened(powers).transpose(), _flattened([target]).transpose())
+        if sol is not None:
+            return Poly([*(-sol.entry(j, 0) for j in range(k + 1)), ONE])
+        powers.append(target)
+    raise AssertionError("no annihilating polynomial of degree <= n")
+
+
+@st.composite
+def _krylov_matrices(draw):
+    """n <= 5: dense, a product of low rank, or a triangular matrix with
+    repeated eigenvalues, conjugated by a unit lower triangular one."""
+    n = draw(st.integers(1, 5))
+    scalars = draw(st.sampled_from([real_scalars, gaussian_scalars]))
+    kind = draw(st.sampled_from(["dense", "low rank", "repeated"]))
+    if kind == "dense":
+        return draw(_matrices(n, n, scalars))
+    if kind == "low rank":
+        r = draw(st.integers(1, n))
+        return draw(_matrices(n, r, scalars)) * draw(_matrices(r, n, scalars))
+    values = draw(st.lists(scalars, min_size=1, max_size=2))
+    diag = [draw(st.sampled_from(values)) for _ in range(n)]
+    upper = draw(_matrices(n, n, st.just(gr(1))))
+    lower = draw(_matrices(n, n, st.builds(gr, st.integers(-2, 2))))
+    tri = [[diag[i] if i == j else upper.entry(i, j) if j > i else 0 for j in range(n)] for i in range(n)]
+    unit = [[1 if i == j else lower.entry(i, j) if j < i else 0 for j in range(n)] for i in range(n)]
+    t = ExactMatrix.from_rows(unit)
+    return t * ExactMatrix.from_rows(tri) * solve_columns(t, ExactMatrix.identity(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_krylov_matrices())
+def test_minimal_polynomial_matches_stepwise_search(m):
+    assert minimal_polynomial(m) == _stepwise_minimal_polynomial(m)
+
+
+def test_certificate_prime():
+    assert _P % 4 == 1 and _P < 2**31
+    assert all(_P % q for q in range(2, isqrt(_P) + 1))
+    assert _S * _S % _P == _P - 1
+
+
+def _count_solves(monkeypatch):
+    calls = []
+
+    def spy(a, b):
+        calls.append(a.cols)
+        return solve_columns(a, b)
+
+    monkeypatch.setattr(matrix_module, "solve_columns", spy)
+    return calls
+
+
+# diag(0, P) and diag(0, S - i) read as 0 mod P, of degree 1; a P in a
+# denominator leaves no image, so no bound.  All three have degree 2.
+@pytest.mark.parametrize(
+    "entry, bound", [(_P, 1), (_S - I, 1), (Fraction(1, _P), 0)], ids=["P", "S-i", "1/P"]
+)
+def test_minimal_polynomial_past_a_low_bound_mod_p(entry, bound, monkeypatch):
+    m = ExactMatrix.diagonal([0, entry])
+    assert _mod_degree_bound(m) == bound
+    calls = _count_solves(monkeypatch)
+    assert minimal_polynomial(m) == Poly.from_roots([0, entry])
+    assert calls == [1, 2]
+
+
+def test_minimal_polynomial_solves_once_when_p_reads_the_degree(monkeypatch):
+    m = ExactMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, I]])
+    assert _mod_degree_bound(m) == 3
+    calls = _count_solves(monkeypatch)
+    assert minimal_polynomial(m) == Poly.from_roots([1, 1, I])
+    assert calls == [3]
 
 
 class TestEigenSplit:

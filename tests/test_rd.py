@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from racahlab import matrix as matrix_module, span as span_module
+from racahlab.cli import sample_params
 from racahlab.errors import NotIrreducible
 from racahlab.gaussian import GaussianRational, gr
-from racahlab.matrix import ExactMatrix, minimal_polynomial
+from racahlab.matrix import ExactMatrix, minimal_polynomial, solve_columns
 from racahlab.polynomial import Poly
 from racahlab.racah import verify_presentation, tau_twist
 from racahlab.rd import (
@@ -195,3 +197,39 @@ class TestLeonardWindow:
             for poly, value in zip(polys, (params.a, params.b, params.c)):
                 assert poly.is_squarefree == parameter_diagonalizable(value, params.d)
         assert hits > 5
+
+
+def test_sampled_irreducible_r6_is_certified_mod_p(monkeypatch):
+    """Irreducible draws from the suite's sampling box at d = 6 are certified
+    by the mod-P closure alone, and P reads each minimal polynomial's degree,
+    so each takes one exact solve."""
+
+    def exact_closure(gens):
+        raise AssertionError("the exact closure ran")
+
+    solves = []
+
+    def spy(a, b):
+        solves.append(a.cols)
+        return solve_columns(a, b)
+
+    monkeypatch.setattr(span_module, "algebra_closure", exact_closure)
+    monkeypatch.setattr(matrix_module, "solve_columns", spy)
+    rng = random.Random(5)
+    draws = [p for p in (sample_params(rng, 6) for _ in range(12)) if is_irreducible(p)]
+    assert len(draws) >= 8
+    for params in draws:
+        rep = construct(params)
+        assert burnside_irreducible(rep)
+        for op in (rep.A, rep.B, rep.C):
+            solves.clear()
+            minimal_polynomial(op)
+            assert len(solves) == 1
+
+
+def test_min_polys_reuses_the_built_module():
+    params = RdParams(Fraction(1, 3), Fraction(1, 5), Fraction(2, 7), 3)
+    construct.cache_clear()
+    construct(params)
+    min_polys(params)
+    assert construct.cache_info().misses == 1

@@ -3,13 +3,14 @@
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from racahlab import rd
-from racahlab.gaussian import GaussianRational, gr
-from racahlab.matrix import ExactMatrix
+from racahlab import rd, span as span_module
+from racahlab.gaussian import GaussianRational, I, gr
+from racahlab.matrix import _P, _S, ExactMatrix, _mod_image
 from racahlab.sl2 import build_Ln
-from racahlab.span import VectorSpan, algebra_closure
+from racahlab.span import VectorSpan, algebra_closure, is_full_matrix_algebra
 
 
 def test_vector_span_rational():
@@ -142,3 +143,69 @@ def test_closure_agrees_with_reference(case):
         assert reference.contains(m.entries)
     for m in probes + [x * y for x, y in product(gens, repeat=2)]:
         assert result.contains(m) == reference.contains(m.entries)
+
+
+# -- the mod-P certificate of the full matrix algebra --------------------------
+
+
+@st.composite
+def _maybe_reducible_sets(draw):
+    """Generator sets with n <= 4; half of them block upper triangular, so
+    that they keep the span of the first k basis vectors."""
+    gens, _probes = draw(_generator_sets())
+    n = gens[0].rows
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        keep = [[i < k or j >= k for j in range(n)] for i in range(n)]
+        gens = [
+            ExactMatrix.from_rows([[x if keep[i][j] else 0 for j, x in enumerate(g.row_list(i))] for i in range(n)])
+            for g in gens
+        ]
+    return gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(_maybe_reducible_sets())
+def test_full_matrix_algebra_matches_closure(gens):
+    n = gens[0].rows
+    assert is_full_matrix_algebra(gens) == (algebra_closure(gens).dim == n * n)
+
+
+def _count_exact_closures(monkeypatch):
+    calls = []
+
+    def spy(gens):
+        calls.append(gens)
+        return algebra_closure(gens)
+
+    monkeypatch.setattr(span_module, "algebra_closure", spy)
+    return calls
+
+
+# Each planted entry vanishes mod P, so the images generate only I and F
+# (dimension 2) while the exact closure is all of M_2 (dimension 4).
+@pytest.mark.parametrize("entry", [_P, _S - I], ids=["P", "S-i"])
+def test_entry_vanishing_mod_p_falls_back_to_exact(entry, monkeypatch):
+    e = ExactMatrix.from_rows([[0, entry], [0, 0]])
+    f = ExactMatrix.from_rows([[0, 0], [1, 0]])
+    assert _mod_image(e) == [[0, 0], [0, 0]]
+    calls = _count_exact_closures(monkeypatch)
+    assert is_full_matrix_algebra([e, f])
+    assert len(calls) == 1 and algebra_closure([e, f]).dim == 4
+
+
+def test_p_in_a_denominator_falls_back_to_exact(monkeypatch):
+    e = ExactMatrix.from_rows([[0, Fraction(1, _P)], [0, 0]])
+    f = ExactMatrix.from_rows([[0, 0], [1, 0]])
+    assert _mod_image(e) is None
+    calls = _count_exact_closures(monkeypatch)
+    assert is_full_matrix_algebra([e, f])
+    assert len(calls) == 1
+
+
+def test_full_rank_mod_p_needs_no_exact_closure(monkeypatch):
+    calls = _count_exact_closures(monkeypatch)
+    rep = build_Ln(3)
+    assert is_full_matrix_algebra([rep.E, rep.F, rep.H])
+    assert not is_full_matrix_algebra([rep.H])
+    assert len(calls) == 1
