@@ -435,6 +435,10 @@ def _leonard_json(report: leonard.LeonardReport) -> dict:
     return {"dim": report.dim, "conditions": conditions, "pass": report.passed}
 
 
+def _iso_json(iso: rd.IsoClass) -> dict:
+    return {"d": iso.d, "sA": iso.sA.token(), "sB": iso.sB.token(), "sC": iso.sC.token()}
+
+
 def _decomposition_json(report: dec.DecompositionReport) -> dict:
     summands = []
     for g in report.summands:
@@ -445,12 +449,7 @@ def _decomposition_json(report: dec.DecompositionReport) -> dict:
             "multiplicity": g.multiplicity,
         }
         if g.iso is not None:
-            entry["iso_class"] = {
-                "d": g.iso.d,
-                "sA": g.iso.sA.token(),
-                "sB": g.iso.sB.token(),
-                "sC": g.iso.sC.token(),
-            }
+            entry["iso_class"] = _iso_json(g.iso)
         if g.leonard_passed is not None:
             entry["leonard"] = g.leonard_passed
         summands.append(entry)
@@ -494,9 +493,13 @@ def _parse_scalar(text: str) -> GaussianRational:
 
 def _load_rep(path: str):
     try:
-        return load_rep(path)
+        rep = load_rep(path)
     except (OSError, ValueError, ZeroDivisionError, DimensionMismatch) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    cap = MAX_MODULE_SIZE + 1  # a --rep file may be as large as R_d at the --d cap
+    if rep.dim > cap:
+        raise ConfigError(f"{path} has dimension {rep.dim}, above the cap of {cap}")
+    return rep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -624,13 +627,7 @@ def _dispatch(args) -> int:
         }
         if witness:
             iso = rd.iso_class_of(params)
-            payload["iso_class"] = {
-                "d": iso.d,
-                "sA": iso.sA.token(),
-                "sB": iso.sB.token(),
-                "sC": iso.sC.token(),
-                "label": iso.label(),
-            }
+            payload["iso_class"] = {**_iso_json(iso), "label": iso.label()}
             payload["min_poly_degrees"] = [p.degree for p in rd.min_polys(params)]
             payload["leonard"] = rd.leonard_criterion(params)
         _emit(_dump(payload), None)

@@ -31,8 +31,6 @@ from .matrix import (
     Subspace,
     eigen_split,
     kernel_basis,
-    minimal_polynomial,
-    rational_roots,
     solve_columns,
 )
 from .rd import (
@@ -316,11 +314,7 @@ def _split_by_central(lam_op: ExactMatrix, tops: list[Vector]) -> list[Vector]:
     restricted = solve_columns(basis, images)
     if restricted is None:
         raise ArithmeticError("central element does not preserve the top space")
-    p = minimal_polynomial(restricted)
-    roots = rational_roots(p)
-    if not roots.splits:
-        raise ArithmeticError("central spectrum does not split")
-    split = eigen_split(restricted, roots.roots)
+    split = eigen_split(restricted)
     if not split.diagonalizable:
         raise ArithmeticError("central element not diagonalizable on the top space")
     return [_combine(combo, tops) for _value, space in split.pairs for combo in space.basis]

@@ -10,11 +10,14 @@ class DimensionMismatch(RacahLabError):
 
 
 class RootsMismatch(RacahLabError):
-    """A supplied eigenvalue list does not match the minimal polynomial."""
+    """A supplied eigenvalue list is not exactly the distinct Gaussian-rational
+    roots of the minimal polynomial: it repeats a value, holds a value that is
+    not a root, or misses a root (checked in that order)."""
 
 
 class NonSplitting(RacahLabError):
-    """An eigenvalue lies outside the Gaussian rationals and no hint was given."""
+    """A minimal polynomial does not split over the Gaussian rationals, and no
+    eigenvalue list was supplied (with one, the split reads not diagonalizable)."""
 
 
 class NotIrreducible(RacahLabError):

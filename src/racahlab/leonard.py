@@ -12,15 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DimensionMismatch, NonSplitting
-from .gaussian import GaussianRational, gr
-from .matrix import (
-    ExactMatrix,
-    eigen_split,
-    minimal_polynomial,
-    rational_roots,
-    solve_columns,
-)
+from .errors import DimensionMismatch
+from .gaussian import GaussianRational
+from .matrix import ExactMatrix, eigen_split, solve_columns
 
 
 @dataclass(frozen=True)
@@ -50,19 +44,6 @@ class TridiagonalizationResult:
     ordering: tuple[int, ...] | None
     matrix: ExactMatrix | None
     reason: str | None
-
-
-def _distinct_eigenvalues(matrix: ExactMatrix, hints) -> list[GaussianRational]:
-    if hints is not None:
-        return [gr(h) for h in hints]
-    p = minimal_polynomial(matrix)
-    search = rational_roots(p)
-    if not search.splits:
-        raise NonSplitting(
-            "minimal polynomial does not split over the Gaussian rationals; "
-            "supply eigenvalue hints"
-        )
-    return list(search.roots)
 
 
 def _path_order(n: int, edges: set[frozenset[int]]) -> tuple[list[list[int]], str | None]:
@@ -105,25 +86,19 @@ def _conjugate_into_eigenbasis(
     diag_op: ExactMatrix, others: Sequence[ExactMatrix], hints
 ) -> tuple[tuple[GaussianRational, ...], list[ExactMatrix], bool, bool]:
     """Diagonalize one operator; return eigenvalues, transformed others, flags."""
-    n = diag_op.rows
-    values = _distinct_eigenvalues(diag_op, hints)
-    split = eigen_split(diag_op, values)
+    split = eigen_split(diag_op, hints)
+    values = tuple(value for value, _space in split.pairs)
     simple = all(space.dim == 1 for _v, space in split.pairs)
     if not split.diagonalizable or not simple:
-        return tuple(values), [], split.diagonalizable, simple
-    columns = []
-    ordered_values = []
-    for value, space in split.pairs:
-        columns.append(list(space.basis[0]))
-        ordered_values.append(value)
-    basis = ExactMatrix.from_rows(columns).transpose()
+        return values, [], split.diagonalizable, simple
+    basis = ExactMatrix.from_rows([list(space.basis[0]) for _v, space in split.pairs]).transpose()
     transformed = []
     for m in others:
         sol = solve_columns(basis, m * basis)
         if sol is None:
             raise ArithmeticError("eigenbasis failed to span; this cannot happen")
         transformed.append(sol)
-    return tuple(ordered_values), transformed, True, True
+    return values, transformed, True, True
 
 
 def _support(m: ExactMatrix) -> set[tuple[int, int]]:
@@ -227,7 +202,15 @@ def check(
     third: ExactMatrix,
     hints: Sequence[Sequence] | None = None,
 ) -> LeonardReport:
-    """Certify or refute the three diagonalization conditions for a triple."""
+    """Certify or refute the three diagonalization conditions for a triple.
+
+    Each operator's spectrum comes from ``eigen_split``.  ``hints``, one list
+    per operator (or None for that operator), is a checked expectation: the
+    listed values fix the order of the eigenlines, and a list that is not
+    exactly the operator's distinct eigenvalues raises RootsMismatch.  Without
+    a hint list, an operator whose minimal polynomial does not split over the
+    Gaussian rationals raises NonSplitting.
+    """
     ops = (first, second, third)
     n = first.rows
     for m in ops:

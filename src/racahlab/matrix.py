@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice, repeat
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, RootsMismatch
+from .errors import DimensionMismatch, NonSplitting, RootsMismatch
 from .gaussian import GaussianRational, ONE, ZERO, gr
 from .polynomial import Poly
 
@@ -714,13 +715,16 @@ class Subspace:
 # -- minimal polynomial and eigenspaces ------------------------------------
 
 
+@lru_cache(maxsize=64)
 def minimal_polynomial(matrix: ExactMatrix) -> Poly:
     """Monic least-degree annihilating polynomial, by Krylov span saturation.
 
     The powers are independent mod P below the first power k that is not,
     hence independent exactly, so the degree is at least k and the exact
     search solves for the powers from k on: one ``solve_columns`` when P
-    reads the degree right, more only after an unlucky P.
+    reads the degree right, more only after an unlucky P.  Memoized on the
+    (immutable) matrix, so ``rd.min_polys`` and the Leonard check of one
+    module share each generator's computation.
     """
     if not matrix.is_square:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
@@ -747,29 +751,35 @@ class EigenSplit:
     diagonalizable: bool
 
 
-def eigen_split(matrix: ExactMatrix, roots: Sequence) -> EigenSplit:
-    """Split into eigenspaces for the supplied distinct roots of the min poly.
+def eigen_split(matrix: ExactMatrix, roots: Sequence | None = None) -> EigenSplit:
+    """Split into eigenspaces, from one minimal polynomial and one root search.
 
-    Raises RootsMismatch unless the supplied values are exactly the distinct
+    Without ``roots`` the pairs follow the roots in ``sort_key`` order, and
+    NonSplitting is raised unless the minimal polynomial splits over the
+    Gaussian rationals.  Supplied ``roots`` only fix the order of the pairs:
+    RootsMismatch is raised unless they are exactly the distinct
     Gaussian-rational roots of the minimal polynomial.
     """
     if not matrix.is_square:
         raise DimensionMismatch("eigen split of a non-square matrix")
-    vals = [gr(r) for r in roots]
-    if len(set(vals)) != len(vals):
-        raise RootsMismatch("duplicate values in supplied root list")
-    p = minimal_polynomial(matrix)
-    q = p
-    for v in vals:
-        if p(v):
-            raise RootsMismatch(f"{v.token()} is not a root of the minimal polynomial")
-        while not q(v):
-            q = q // Poly((-v, 1))
-    leftover = rational_roots(q)
-    if leftover.roots:
-        raise RootsMismatch(
-            "missing roots: " + ", ".join(r.token() for r in leftover.roots)
-        )
+    search = rational_roots(minimal_polynomial(matrix))
+    if roots is None:
+        if not search.splits:
+            raise NonSplitting(
+                "minimal polynomial does not split over the Gaussian rationals; "
+                "supply eigenvalue hints"
+            )
+        vals = search.roots
+    else:
+        vals = [gr(r) for r in roots]
+        if len(set(vals)) != len(vals):
+            raise RootsMismatch("duplicate values in supplied root list")
+        for v in vals:
+            if v not in search.roots:
+                raise RootsMismatch(f"{v.token()} is not a root of the minimal polynomial")
+        missing = [r for r in search.roots if r not in vals]
+        if missing:
+            raise RootsMismatch("missing roots: " + ", ".join(r.token() for r in missing))
     n = matrix.rows
     pairs = []
     total = 0

@@ -199,6 +199,7 @@ def test_missing_required_argument(capsys):
         ["rd", "build", "--a", "1", "--b", "0", "--c", "0", "--d", "33"],
         ["suite", "--targets", "lemma6_suite", "--d", "0..33"],
         ["decompose", "--target", "Ln", "--n", "33"],
+        ["leonard", "check", "--rep", "{oversized}"],
     ],
     ids=["zero-denominator-flag", "bad-token-flag", "unwritable-out", "bad-range",
          "export-under-a-file", "missing-rep", "missing-rep-leonard", "short-block", "zero-denominator-file",
@@ -206,7 +207,8 @@ def test_missing_required_argument(capsys):
          "negative-highest-weight", "negative-rd-size", "repeated-block-label", "negative-header",
          "compare-above-orbit-cap", "suite-thm8_7-above-orbit-cap", "build-D9-above-dense-cap",
          "suite-above-orbit-cap", "suite-export-above-dense-cap", "analyze-above-size-cap",
-         "build-above-size-cap", "suite-d-above-size-cap", "Ln-above-size-cap"],
+         "build-above-size-cap", "suite-d-above-size-cap", "Ln-above-size-cap",
+         "rep-above-size-cap"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     files = {
@@ -217,6 +219,7 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
         "ragged": tmp_path / "ragged.txt",
         "repeated": tmp_path / "repeated.txt",
         "negative_header": tmp_path / "negative_header.txt",
+        "oversized": tmp_path / "oversized.txt",
     }
     files["short"].write_text("A\n2 2\n1/1 0/1 0/1\n")
     files["zero_den"].write_text("A\n1 1\n1/0\n")
@@ -224,11 +227,23 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     # a later A block must not silently replace the first one
     files["repeated"].write_text("A 1 1 5\nA 1 1 7\nB 1 1 0\nC 1 1 0\nDelta 1 1 0\n")
     files["negative_header"].write_text("A\n2 -2\n1/1 0/1 0/1 1/1\nB 1 1 0 C 1 1 0 Delta 1 1 0\n")
+    # R_d one past the --d cap, built by the library, which has no cap
+    oversized = rd.construct(rd.RdParams(1, 0, 0, cli.MAX_MODULE_SIZE + 1))
+    files["oversized"].write_text(rep_to_text(oversized))
     status = main([arg.format(**files) for arg in argv])
     err = capsys.readouterr().err
     assert status == 2
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_rep_size_cap_admits_r_d_at_the_d_cap(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "MAX_MODULE_SIZE", 2)
+    for d, status in ((2, 0), (3, 2)):
+        path = tmp_path / f"r{d}.txt"
+        path.write_text(rep_to_text(rd.construct(rd.RdParams(Fraction(-1, 4), 0, 1, d))))
+        assert main(["racah", "verify", "--rep", str(path)]) == status
+    assert capsys.readouterr().err == f"configuration error: {path} has dimension 4, above the cap of 3\n"
 
 
 def test_all_targets_registered():

@@ -33,6 +33,16 @@ STDOUT_CASES = {
     "rd_build_d2.txt": ["rd", "build", "--a=1/2+1*i", "--b=1/3", "--c=-1+1/2*i", "--d", "2"],
     # reads the quadruple of the case above
     "leonard_check_d2.json": ["leonard", "check", "--rep", str(GOLDEN / "rd_build_d2.txt")],
+    # a = -1/2 makes A non-diagonalizable on R_3: the report fails (exit 1)
+    "rd_build_nondiag_d3.txt": [
+        "rd", "build", "--a=-1/2", "--b=1/3+1*i", "--c=-2+1/2*i", "--d", "3",
+    ],
+    "leonard_check_nondiag_d3.json": [
+        "leonard", "check", "--rep", str(GOLDEN / "rd_build_nondiag_d3.txt"),
+    ],
+    # a passing draw whose three spectra are six Gaussian rationals each
+    "rd_build_d5.txt": ["rd", "build", "--a=1/2+1*i", "--b=1/3", "--c=-1+1/2*i", "--d", "5"],
+    "leonard_check_d5.json": ["leonard", "check", "--rep", str(GOLDEN / "rd_build_d5.txt")],
 }
 
 EXPORT_D = 4
@@ -62,8 +72,8 @@ def test_output_matches_golden(name, tmp_path):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    # rd_build_d2.txt first: the Leonard case reads it
-    for name, argv in sorted(STDOUT_CASES.items(), key=lambda kv: kv[0] != "rd_build_d2.txt"):
+    # the rd builds first: the Leonard cases read them
+    for name, argv in sorted(STDOUT_CASES.items(), key=lambda kv: not kv[0].startswith("rd_build")):
         (GOLDEN / name).write_text(_stdout_of(argv))
     with tempfile.TemporaryDirectory() as tmp:
         _export(Path(tmp))

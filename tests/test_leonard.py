@@ -112,8 +112,10 @@ def test_hints_are_validated():
         [Fraction(5, 16), Fraction(-3, 16)],
     )
     assert check(*ops, hints=good).passed
-    with pytest.raises(RootsMismatch):
+    with pytest.raises(RootsMismatch, match="missing roots: -3/16"):
         check(*ops, hints=([Fraction(5, 16)], good[1], good[2]))
+    with pytest.raises(RootsMismatch, match="1/1 is not a root"):
+        check(*ops, hints=(good[0], good[1], [Fraction(5, 16), 1, Fraction(-3, 16)]))
 
 
 def test_non_splitting_needs_hints():

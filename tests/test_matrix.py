@@ -9,12 +9,13 @@ from math import gcd, isqrt, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from racahlab.errors import DimensionMismatch, RootsMismatch
+from racahlab.errors import DimensionMismatch, NonSplitting, RootsMismatch
 from racahlab.gaussian import ONE, GaussianRational, I, gr
 from racahlab import matrix as matrix_module
 from racahlab.matrix import (
     _P,
     _S,
+    EigenSplit,
     ExactMatrix,
     RootSearch,
     Subspace,
@@ -277,6 +278,7 @@ def _count_solves(monkeypatch):
         return solve_columns(a, b)
 
     monkeypatch.setattr(matrix_module, "solve_columns", spy)
+    minimal_polynomial.cache_clear()  # a memo hit would count no solve at all
     return calls
 
 
@@ -478,6 +480,110 @@ def _root_search_polys(draw):
 @given(_root_search_polys())
 def test_root_search_matches_divisor_oracle(p):
     assert rational_roots(p) == _divisor_search(p)
+
+
+# -- eigen_split against the division-based validation ----------------------------
+
+
+def _division_eigen_split(matrix, roots=None):
+    """Reference eigen split: the step-by-step minimal polynomial; supplied roots
+    validated by p(v), division by x - v and a divisor search on what is left."""
+    p = _stepwise_minimal_polynomial(matrix)
+    if roots is None:
+        search = _divisor_search(p)
+        if not search.splits:
+            raise NonSplitting(
+                "minimal polynomial does not split over the Gaussian rationals; "
+                "supply eigenvalue hints"
+            )
+        roots = search.roots
+    vals = [gr(r) for r in roots]
+    if len(set(vals)) != len(vals):
+        raise RootsMismatch("duplicate values in supplied root list")
+    q = p
+    for v in vals:
+        if p(v):
+            raise RootsMismatch(f"{v.token()} is not a root of the minimal polynomial")
+        while not q(v):
+            q = q // Poly((-v, 1))
+    leftover = _divisor_search(q)
+    if leftover.roots:
+        raise RootsMismatch("missing roots: " + ", ".join(r.token() for r in leftover.roots))
+    n = matrix.rows
+    pairs = [
+        (v, Subspace.from_vectors(n, kernel_basis(matrix - ExactMatrix.scalar_matrix(n, v))))
+        for v in vals
+    ]
+    return EigenSplit(tuple(pairs), sum(space.dim for _v, space in pairs) == n)
+
+
+def _outcome(split, *args):
+    try:
+        return split(*args)
+    except (RootsMismatch, NonSplitting) as exc:
+        return type(exc), str(exc)
+
+
+def _gaussian_int(rng):
+    return GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1))
+
+
+def _triangular(rng, n, upper):
+    """An upper-triangular Gaussian-integer matrix (diagonal unless upper) and
+    its distinct eigenvalues; repeated diagonal values make some defective."""
+    diag = [_gaussian_int(rng) for _ in range(n)]
+    rows = [
+        [diag[i] if i == j else _gaussian_int(rng) if upper and j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    return rows, list(dict.fromkeys(diag))
+
+
+def _eigen_split_cases(seed):
+    """(matrix, its distinct Gaussian-rational eigenvalues, whether its minimal
+    polynomial splits) for one seed: diagonal and upper triangular with n <= 5,
+    and [[0, 1], [2, 0]] (eigenvalues +-sqrt(2)) beside a triangular block."""
+    rng = random.Random(seed)
+    cases = []
+    for upper in (False, True):
+        rows, values = _triangular(rng, rng.randint(1, 5), upper)
+        cases.append((ExactMatrix.from_rows(rows), values, True))
+    k = rng.randint(0, 3)
+    rows, values = _triangular(rng, k, True)
+    block = [[0, 1] + [0] * k, [2, 0] + [0] * k] + [[0, 0] + row for row in rows]
+    cases.append((ExactMatrix.from_rows(block), values, False))
+    return cases
+
+
+def _hint_lists(rng, values):
+    """Exact, permuted, with a non-root added, with a root missing, duplicated;
+    and two lists with two faults each, which pin the order of the checks."""
+    permuted = rng.sample(values, len(values))
+    stranger = GaussianRational(3, 2)  # no entry reaches 3, so never an eigenvalue
+    lists = [values, permuted, permuted[:1] + [stranger] + permuted[1:]]
+    if values:
+        lists += [
+            permuted[1:],
+            permuted + permuted[-1:],
+            [stranger] + permuted[1:],  # not a root, and one missing
+            [stranger] + permuted + permuted[:1],  # not a root, and a duplicate
+        ]
+    return lists
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_eigen_split_matches_division_oracle(seed):
+    rng = random.Random(1000 + seed)
+    for m, values, splits in _eigen_split_cases(seed):
+        hint_free = _outcome(eigen_split, m)
+        assert hint_free == _outcome(_division_eigen_split, m)
+        in_order = eigen_split(m, sorted(values, key=lambda v: v.sort_key()))
+        if splits:
+            assert hint_free == in_order
+        else:
+            assert hint_free[0] is NonSplitting and not in_order.diagonalizable
+        for hints in _hint_lists(rng, values):
+            assert _outcome(eigen_split, m, hints) == _outcome(_division_eigen_split, m, hints)
 
 
 def test_subspace_canonical_equality():
