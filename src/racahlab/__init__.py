@@ -36,7 +36,6 @@ from .racah import (
     RacahRep,
     casimirs,
     central_values,
-    load_rep,
     save_rep,
     sigma_twist,
     tau_twist,

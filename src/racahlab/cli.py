@@ -22,7 +22,7 @@ from .gaussian import GaussianRational
 from .orbit import MAX_ORBIT_D, cube_build, cube_operators
 from .racah import (
     central_values,
-    load_rep,
+    rep_from_text,
     rep_to_text,
     verify_presentation,
     verify_section6_relations,
@@ -32,9 +32,9 @@ from .sl2 import MAX_DENSE_D, build_hypercube, build_Ln
 REPORT_SCHEMA = "racahlab-report/1"
 
 # The largest --d (R_d) or --n (L_n) the CLI accepts.  Timed as whole
-# processes on a 2-vCPU x86-64 guest: at 32 `rd analyze` takes 0.6 s and
-# `decompose --target Ln` 0.3 s, while a `lemma6_suite` sample takes about a
-# minute; `rd analyze` takes 7 s at 64 and 37 s (480 MB) at 96.
+# processes on a 2-vCPU x86-64 guest: at 32 `rd analyze` takes 0.6 to 1 s,
+# `decompose --target Ln` 0.3 s and a `lemma6_suite` sample about 1 s;
+# `rd analyze` takes 7 s at 64 and 37 s (480 MB) at 96.
 MAX_MODULE_SIZE = 32
 
 SUITE_TARGETS = (
@@ -491,15 +491,34 @@ def _parse_scalar(text: str) -> GaussianRational:
         raise ConfigError(f"bad scalar {text!r}: {exc}") from None
 
 
+def _largest_header(tokens: list[str]) -> int:
+    """The largest size in the `rows cols` headers of a rep file's blocks, read
+    without parsing an entry; the walk stops at a header that is not two
+    integers and leaves the error to the parser."""
+    largest = pos = 0
+    while pos + 2 < len(tokens):
+        try:
+            rows, cols = int(tokens[pos + 1]), int(tokens[pos + 2])
+        except ValueError:
+            break
+        largest = max(largest, rows, cols)
+        pos += 3 + max(rows * cols, 0)
+    return largest
+
+
 def _load_rep(path: str):
     try:
-        rep = load_rep(path)
-    except (OSError, ValueError, ZeroDivisionError, DimensionMismatch) as exc:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     cap = MAX_MODULE_SIZE + 1  # a --rep file may be as large as R_d at the --d cap
-    if rep.dim > cap:
-        raise ConfigError(f"{path} has dimension {rep.dim}, above the cap of {cap}")
-    return rep
+    size = _largest_header(text.split())
+    if size > cap:
+        raise ConfigError(f"{path} has dimension {size}, above the cap of {cap}")
+    try:
+        return rep_from_text(text)
+    except (ValueError, ZeroDivisionError, DimensionMismatch) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

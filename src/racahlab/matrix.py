@@ -567,13 +567,18 @@ def _identity_rows(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def _mod_ints(den: int, re_part: Sequence[int], im_part: Sequence[int] | None) -> list[int] | None:
+    """(re_part + i*im_part) / den mod P under i -> S, or None when P divides den."""
+    if den % _P == 0:
+        return None
+    inv = pow(den, -1, _P)
+    return [(x + _S * y) * inv % _P for x, y in zip(re_part, im_part or repeat(0))]
+
+
 def _mod_image(m: ExactMatrix) -> list[list[int]] | None:
     """The rows of m mod P under i -> S, or None when P divides m.den."""
-    if m.den % _P == 0:
-        return None
-    inv = pow(m.den, -1, _P)
-    im_rows = m.im or [(0,) * m.cols] * m.rows
-    return [[(x + _S * y) * inv % _P for x, y in zip(r, s)] for r, s in zip(m.re, im_rows)]
+    rows = [_mod_ints(m.den, r, s) for r, s in zip(m.re, m.im or repeat(None))]
+    return None if rows[0] is None else rows
 
 
 def _mod_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -802,6 +807,34 @@ class RootSearch:
     splits: bool
 
 
+def _squarefree_mod_p(p: Poly) -> bool:
+    """True only if p is squarefree; False gives no verdict.
+
+    The image of p in F_P[x] under i -> S keeps p's degree when P divides no
+    denominator and not the leading coefficient.  If that image is coprime to
+    its derivative its discriminant is nonzero mod P, so disc(p), which maps
+    onto it, is nonzero and p is squarefree.  A common factor mod P proves
+    nothing (x*(x - P) is squarefree, its image x^2 is not).
+    """
+    f = _mod_ints(*_vector_ints(p.coeffs))
+    if not f or not f[-1]:
+        return False
+    g = [k * c % _P for k, c in enumerate(f)][1:]
+    while g:
+        # f mod g in F_P[x]; g is trimmed, so its leading coefficient is a unit
+        inv = pow(g[-1], -1, _P)
+        while len(f) >= len(g):
+            c = f[-1] * inv % _P
+            shift = len(f) - len(g)
+            for j, y in enumerate(g[:-1]):
+                f[shift + j] = (f[shift + j] - c * y) % _P
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) == 1
+
+
 def _eval_mod(f: Sequence[int], x: int, m: int) -> int:
     acc = 0
     for c in reversed(f):
@@ -841,18 +874,32 @@ def _lifting_prime(coeffs: Sequence[tuple[int, int]], norm_lead: int):
             return p, s, roots[0], roots[1]
 
 
+def _is_scaled_root(coeffs: Sequence[tuple[int, int]], x: int, y: int, scale: int) -> bool:
+    """Whether (x + i*y) / scale is a root of the Gaussian-integer coefficients
+    (re, im), low degree first: Horner on scale^m * f((x + i*y) / scale) in ints."""
+    acc_re, acc_im = coeffs[-1]
+    power = 1
+    for c_re, c_im in reversed(coeffs[:-1]):
+        power *= scale
+        acc_re, acc_im = acc_re * x - acc_im * y + c_re * power, acc_re * y + acc_im * x + c_im * power
+    return not (acc_re or acc_im)
+
+
 def rational_roots(p: Poly) -> RootSearch:
     """All roots of p in the Gaussian rationals, by Hensel lifting (Loos 1983).
 
     Completeness: a root z = u/v of the squarefree part q, in lowest terms in
     the UFD Z[i], has v | lead(q), so L*z is a Gaussian integer (L = N(lead));
     its parts are bounded by L*R (R a Cauchy bound) and read off mod P^k > 4*L*R.
+    q is p itself when ``_squarefree_mod_p`` certifies p, and p // gcd(p, p')
+    otherwise.  Each candidate is kept iff it is an exact root of q, tested in
+    integers on q's Gaussian-integer coefficients; q and p have the same roots.
     """
     if p.is_zero:
         raise ValueError("root search requires a nonzero polynomial")
     if p.degree == 0:
         return RootSearch((), True)
-    q = p // p.gcd(p.derivative())
+    q = p if _squarefree_mod_p(p) else p // p.gcd(p.derivative())
     _den, re_part, im_part = _vector_ints(q.coeffs)
     coeffs = list(zip(re_part, im_part or [0] * len(re_part)))
     roots: list[GaussianRational] = []
@@ -881,9 +928,7 @@ def rational_roots(p: Poly) -> RootSearch:
                 y = norm_lead * (r1 - r2) * half_s % modulus
                 x -= modulus if 2 * x > modulus else 0
                 y -= modulus if 2 * y > modulus else 0
-                if x * x + y * y <= bound * bound:
-                    z = GaussianRational(Fraction(x, norm_lead), Fraction(y, norm_lead))
-                    if not p(z):
-                        roots.append(z)
+                if x * x + y * y <= bound * bound and _is_scaled_root(coeffs, x, y, norm_lead):
+                    roots.append(GaussianRational(Fraction(x, norm_lead), Fraction(y, norm_lead)))
     ordered = tuple(sorted(roots, key=lambda c: c.sort_key()))
     return RootSearch(ordered, len(ordered) == q.degree)

@@ -149,9 +149,17 @@ class Poly:
 
     @property
     def is_squarefree(self) -> bool:
+        """True iff gcd(p, p') is a nonzero constant.
+
+        A squarefree image mod a prime certifies it first
+        (``matrix._squarefree_mod_p``); only a polynomial it leaves without a
+        verdict runs the exact Euclid of ``gcd``, which gives every False.
+        """
+        from .matrix import _squarefree_mod_p
+
         if self.is_zero:
             return False
-        return self.gcd(self.derivative()).degree == 0
+        return _squarefree_mod_p(self) or self.gcd(self.derivative()).degree == 0
 
     # -- evaluation ---------------------------------------------------
 

@@ -252,7 +252,3 @@ def rep_from_text(text: str) -> RacahRep:
 
 def save_rep(rep: RacahRep, path) -> None:
     Path(path).write_text(rep_to_text(rep))
-
-
-def load_rep(path) -> RacahRep:
-    return rep_from_text(Path(path).read_text())

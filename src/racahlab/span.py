@@ -7,8 +7,9 @@ the first word with an imaginary part on, the span is realified, so
 membership over the Gaussian rationals is a rational rank test on integer
 rows either way.
 
-``is_full_matrix_algebra`` walks the images mod a prime first, which can
-only certify the full matrix algebra (see its docstring).
+``is_full_matrix_algebra`` tries Norton's test and then a walk of the images
+mod a prime first; both can only certify the full matrix algebra (see its
+docstring).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import Sequence
 
 from .errors import DimensionMismatch
 from .matrix import ExactMatrix, VectorSpan, _from_ints, _gauss_int_matmul, _identity_rows, _walk
-from .matrix import _ModSpan, _mod_image, _mod_matmul
+from .matrix import _ModSpan, _mod_image, _mod_ints, _mod_matmul, _vector_ints
+from .matrix import kernel_basis, minimal_polynomial, rational_roots
 
 
 @dataclass(frozen=True)
@@ -74,14 +76,60 @@ def algebra_closure(gens: Sequence[ExactMatrix]) -> ClosureResult:
     return ClosureResult(len(basis), tuple(_from_ints(1, *b) for b in basis), span)
 
 
+def _mod_rank(rows) -> int:
+    span = _ModSpan()
+    return sum(span.add([row]) for row in rows)
+
+
+def _spins_mod_p(vec, images, n: int) -> bool:
+    """True only if the vector spins to rank n mod P under the images.  The
+    spin of its image mod P is the image of the exact spin's words, so rank n
+    mod P is rank n exactly; False gives no verdict."""
+    seed = _mod_ints(*_vector_ints(vec))
+    if seed is None:
+        return False
+    column = [[x] for x in seed]
+    return len(_walk([column], images, _mod_matmul, _ModSpan().add, n)) == n
+
+
+def _norton(gens: Sequence[ExactMatrix], images: list, n: int) -> bool:
+    """True only if Norton's criterion (Parker 1984) certifies irreducibility;
+    False gives no verdict.  ``images`` are the generators' images mod P that
+    exist.
+
+    Take x = g - theta*I for a generator g and a root theta of its minimal
+    polynomial, with rank n - 1 mod P, hence rank n - 1 exactly: ker x is one
+    line <v> and ker x^T one line <w>.  If v spins to V under the generators
+    and w to V* under their transposes, no proper submodule U exists, over C
+    either: ker x meeting U would put v in U, and x injective on U would put
+    w in the annihilator of U.  So the module is absolutely irreducible, and
+    by Burnside the algebra is all of M_n.
+    """
+    for g in gens:
+        for theta in rational_roots(minimal_polynomial(g)).roots:
+            x = g - ExactMatrix.scalar_matrix(n, theta)
+            x_image = _mod_image(x)
+            if x_image is None or _mod_rank(x_image) != n - 1:
+                continue
+            (v,) = kernel_basis(x)
+            (w,) = kernel_basis(x.transpose())
+            transposes = [list(zip(*image)) for image in images]
+            return _spins_mod_p(v, images, n) and _spins_mod_p(w, transposes, n)
+    return False
+
+
 def is_full_matrix_algebra(gens: Sequence[ExactMatrix]) -> bool:
     """True iff the generators generate the whole n x n matrix algebra.
 
-    The closure walk runs first on the images mod P of the generators that
-    have one; it can only certify, since rank mod P never exceeds the exact
-    rank.  When it stops short of n^2, ``algebra_closure`` decides.
+    Two certificates run first, and each can only answer True: Norton's
+    test (``_norton``), a spin of n vectors mod P, and then the closure walk
+    on the images mod P of the generators that have one, since rank mod P
+    never exceeds the exact rank.  When both stop short, ``algebra_closure``
+    decides, so every False is exact.
     """
     n = _size(gens)
     images = [image for image in map(_mod_image, gens) if image is not None]
+    if _norton(gens, images, n):
+        return True
     kept = _walk([_identity_rows(n), *images], images, _mod_matmul, _ModSpan().add, n * n)
     return len(kept) == n * n or algebra_closure(gens).dim == n * n

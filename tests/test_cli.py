@@ -246,6 +246,17 @@ def test_rep_size_cap_admits_r_d_at_the_d_cap(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err == f"configuration error: {path} has dimension 4, above the cap of 3\n"
 
 
+@pytest.mark.parametrize("text", ["A\n300 300\n1/1 0/1\n", "A 1 1 0\nB 300 300 1/1\n"], ids=["A", "B"])
+def test_rep_size_cap_is_read_from_the_headers(text, tmp_path, capsys):
+    """A header above the cap is rejected before any entry is parsed: the short
+    body after it would be a parse error."""
+    path = tmp_path / "claims_300.txt"
+    path.write_text(text)
+    assert main(["leonard", "check", "--rep", str(path)]) == 2
+    cap = cli.MAX_MODULE_SIZE + 1
+    assert capsys.readouterr().err == f"configuration error: {path} has dimension 300, above the cap of {cap}\n"
+
+
 def test_all_targets_registered():
     parser = build_parser()
     args = parser.parse_args(["suite", "--targets", ",".join(SUITE_TARGETS)])

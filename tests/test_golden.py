@@ -43,6 +43,16 @@ STDOUT_CASES = {
     # a passing draw whose three spectra are six Gaussian rationals each
     "rd_build_d5.txt": ["rd", "build", "--a=1/2+1*i", "--b=1/3", "--c=-1+1/2*i", "--d", "5"],
     "leonard_check_d5.json": ["leonard", "check", "--rep", str(GOLDEN / "rd_build_d5.txt")],
+    # the module-family targets on 20 draws per d: Burnside, squarefree and root verdicts
+    "suite_d0-6_samples20_seed3.json": [
+        "suite", "--targets", "lemma6_suite,thm6_9,prop2_4",
+        "--d", "0..6", "--samples", "20", "--seed", "3",
+    ],
+    # a hint-free check of a complex-parameter draw with thirteen-point spectra
+    "rd_build_d12.txt": [
+        "rd", "build", "--a=2/3+1/3*i", "--b=-2+1*i", "--c=3+1*i", "--d", "12",
+    ],
+    "leonard_check_d12.json": ["leonard", "check", "--rep", str(GOLDEN / "rd_build_d12.txt")],
 }
 
 EXPORT_D = 4

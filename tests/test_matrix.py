@@ -25,6 +25,7 @@ from racahlab.matrix import (
     _lifting_prime,
     _mod_degree_bound,
     _scalar_maker,
+    _squarefree_mod_p,
     _vector_ints,
     eigen_split,
     kernel_basis,
@@ -480,6 +481,70 @@ def _root_search_polys(draw):
 @given(_root_search_polys())
 def test_root_search_matches_divisor_oracle(p):
     assert rational_roots(p) == _divisor_search(p)
+
+
+# -- the squarefree certificate mod P against Fraction Euclid ----------------------
+
+
+def _euclid_squarefree(p):
+    return p.gcd(p.derivative()).degree == 0
+
+
+def _euclid_roots(p):
+    """rational_roots with the certificate off, so that the squarefree part comes
+    from Fraction Euclid, and each candidate tested by evaluating p at it."""
+
+    def evaluated(_coeffs, x, y, scale):
+        return not p(GaussianRational(Fraction(x, scale), Fraction(y, scale)))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix_module, "_squarefree_mod_p", lambda _p: False)
+        patch.setattr(matrix_module, "_is_scaled_root", evaluated)
+        return rational_roots(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_root_search_polys())
+def test_squarefree_certificate_matches_fraction_euclid(p):
+    exact = _euclid_squarefree(p)
+    assert exact or not _squarefree_mod_p(p)
+    assert p.is_squarefree == exact
+    assert rational_roots(p) == _euclid_roots(p)
+
+
+def test_squarefree_certificate_fires_on_squarefree_polynomials():
+    assert _squarefree_mod_p(Poly.from_roots([1, 2, I, Fraction(-1, 3)]) * Poly((1, 1, 1)))
+    assert _squarefree_mod_p(Poly((5,)))
+    assert not _squarefree_mod_p(Poly.from_roots([1, 2, 2]))
+    assert not _squarefree_mod_p(Poly())
+
+
+# Each image mod P below loses the certificate: x(x - P) maps to x^2, P times
+# a polynomial to 0, and 1/P has no image.  The exact route must answer.
+@pytest.mark.parametrize(
+    "p, squarefree, roots",
+    [
+        (Poly((0, -_P, 1)), True, [0, _P]),
+        (Poly.from_roots([1, 2]) * _P, True, [1, 2]),
+        (Poly.from_roots([1, 1, 2]) * _P, False, [1, 2]),
+        (Poly.from_roots([Fraction(1, _P), 2]), True, [Fraction(1, _P), 2]),
+    ],
+    ids=["x(x-P)", "lead-P", "lead-P-double-root", "P-in-a-denominator"],
+)
+def test_planted_polynomials_take_the_exact_route(p, squarefree, roots, monkeypatch):
+    calls = []
+    gcd_method = Poly.gcd
+
+    def spy(self, other):
+        calls.append(self)
+        return gcd_method(self, other)
+
+    monkeypatch.setattr(Poly, "gcd", spy)
+    assert not _squarefree_mod_p(p)
+    assert p.is_squarefree == squarefree
+    expected = tuple(sorted(map(gr, roots), key=lambda c: c.sort_key()))
+    assert rational_roots(p) == RootSearch(expected, True)
+    assert len(calls) == 2
 
 
 # -- eigen_split against the division-based validation ----------------------------

@@ -9,7 +9,7 @@ from racahlab import matrix as matrix_module, span as span_module
 from racahlab.cli import sample_params
 from racahlab.errors import NotIrreducible
 from racahlab.gaussian import GaussianRational, gr
-from racahlab.matrix import ExactMatrix, minimal_polynomial, solve_columns
+from racahlab.matrix import ExactMatrix, minimal_polynomial, rational_roots, solve_columns
 from racahlab.polynomial import Poly
 from racahlab.racah import verify_presentation, tau_twist
 from racahlab.rd import (
@@ -227,6 +227,39 @@ def test_sampled_irreducible_r6_is_certified_mod_p(monkeypatch):
             solves.clear()
             minimal_polynomial(op)
             assert len(solves) == 1
+
+
+def test_irreducible_r16_takes_the_certificates(monkeypatch):
+    """On an irreducible R_16 draw Norton's test certifies Burnside without the
+    mod-P walk of the matrix algebra or the exact closure, and no root search
+    of the three minimal polynomials runs the exact gcd."""
+    params = RdParams(GaussianRational(Fraction(2, 3), Fraction(1, 3)), GaussianRational(-2, 1),
+                      GaussianRational(3, 1), 16)
+    assert is_irreducible(params)
+    rep = construct(params)
+    walks, gcds = [], []
+    walk, gcd = span_module._walk, Poly.gcd
+
+    def walk_spy(seeds, gens, product, add, full):
+        walks.append(full)
+        return walk(seeds, gens, product, add, full)
+
+    def gcd_spy(self, other):
+        gcds.append(self)
+        return gcd(self, other)
+
+    def exact_closure(gens):
+        raise AssertionError("the exact closure ran")
+
+    monkeypatch.setattr(span_module, "_walk", walk_spy)
+    monkeypatch.setattr(span_module, "algebra_closure", exact_closure)
+    monkeypatch.setattr(Poly, "gcd", gcd_spy)
+    minimal_polynomial.cache_clear()  # so that no earlier test decides what runs here
+    assert burnside_irreducible(rep)
+    assert walks == [rep.dim, rep.dim]  # the two spins of Norton's test
+    for op in (rep.A, rep.B, rep.C):
+        assert rational_roots(minimal_polynomial(op)).splits
+    assert gcds == []
 
 
 def test_min_polys_reuses_the_built_module():

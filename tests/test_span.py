@@ -6,11 +6,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import random
+
 from racahlab import rd, span as span_module
 from racahlab.gaussian import GaussianRational, I, gr
 from racahlab.matrix import _P, _S, ExactMatrix, _mod_image
 from racahlab.sl2 import build_Ln
-from racahlab.span import VectorSpan, algebra_closure, is_full_matrix_algebra
+from racahlab.span import VectorSpan, _norton, algebra_closure, is_full_matrix_algebra
 
 
 def test_vector_span_rational():
@@ -156,12 +158,16 @@ def _maybe_reducible_sets(draw):
     n = gens[0].rows
     if n > 1 and draw(st.booleans()):
         k = draw(st.integers(1, n - 1))
-        keep = [[i < k or j >= k for j in range(n)] for i in range(n)]
-        gens = [
-            ExactMatrix.from_rows([[x if keep[i][j] else 0 for j, x in enumerate(g.row_list(i))] for i in range(n)])
-            for g in gens
-        ]
+        gens = [_block_triangular(g, k) for g in gens]
     return gens
+
+
+def _block_triangular(g, k):
+    """g with the block below the first k rows and left of column k cleared, so
+    that it keeps the span of the first k basis vectors."""
+    return ExactMatrix.from_rows(
+        [[x if i < k or j >= k else 0 for j, x in enumerate(g.row_list(i))] for i in range(g.rows)]
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -208,4 +214,77 @@ def test_full_rank_mod_p_needs_no_exact_closure(monkeypatch):
     rep = build_Ln(3)
     assert is_full_matrix_algebra([rep.E, rep.F, rep.H])
     assert not is_full_matrix_algebra([rep.H])
+    assert len(calls) == 1
+
+
+# -- Norton's test against the closure ---------------------------------------------
+
+
+def _random_gaussian(rng, n, triangular=False):
+    return ExactMatrix.from_rows(
+        [
+            [0 if triangular and j < i else GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1)) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def _seeded_modules(rng):
+    """Generator sets with n <= 5: the first generator upper triangular, so that
+    it has eigenvalues, and each set also cut down to a block triangular one."""
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        gens = [_random_gaussian(rng, n, triangular=True)]
+        gens += [_random_gaussian(rng, n) for _ in range(rng.randint(0, 2))]
+        yield gens
+        if n > 1:
+            k = rng.randint(1, n - 1)
+            yield [_block_triangular(g, k) for g in gens]
+
+
+def _rd_draws(rng):
+    """R_d with d <= 7 at the forbidden half-integers: a at one (A is then not
+    diagonalizable) or a linear form of (a, b, c) at one (a reducible module)."""
+    for _ in range(40):
+        d = rng.randint(1, 7)
+        b, c = (GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-1, 1)) for _ in "bc")
+        if rng.random() < 0.5:
+            a = rng.choice(rd._forbidden_half_integers(d))
+        else:
+            a = GaussianRational(Fraction(d, 2) - rng.randint(1, d)) - b + c  # a + b - c forbidden
+        rep = rd.construct(rd.RdParams(a, b, c, d))
+        yield [rep.A, rep.B, rep.C]
+
+
+def _certified_by_norton(gens):
+    return _norton(gens, [_mod_image(g) for g in gens], gens[0].rows)
+
+
+def test_norton_agrees_with_closure():
+    rng = random.Random(11)
+    certified = fallbacks = 0
+    for gens in [*_seeded_modules(rng), *_rd_draws(rng)]:
+        n = gens[0].rows
+        full = algebra_closure(gens).dim == n * n
+        if _certified_by_norton(gens):
+            assert full
+            certified += 1
+        else:
+            fallbacks += 1
+        assert is_full_matrix_algebra(gens) == full
+    # both the certificate and the fallback run often
+    assert certified >= 40 and fallbacks >= 40
+
+
+def test_no_one_dimensional_eigenspace_reaches_the_fallback(monkeypatch):
+    calls = _count_exact_closures(monkeypatch)
+    doubled = ExactMatrix.diagonal([1, 1, 2, 2])
+    # the companion matrix of x^4 - 2, which has no Gaussian-rational eigenvalue
+    companion = ExactMatrix.from_rows([[0, 0, 0, 2], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    # x^2 - 2 twice on the diagonal: it keeps the eigenspaces of `doubled`
+    halves = ExactMatrix.from_rows([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]])
+    assert not _certified_by_norton([doubled, companion])
+    assert is_full_matrix_algebra([doubled, companion])
+    assert not _certified_by_norton([doubled, halves])
+    assert not is_full_matrix_algebra([doubled, halves])
     assert len(calls) == 1
