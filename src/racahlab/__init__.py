@@ -36,6 +36,7 @@ from .racah import (
     RacahRep,
     casimirs,
     central_values,
+    load_rep,
     save_rep,
     sigma_twist,
     tau_twist,

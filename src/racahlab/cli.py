@@ -22,6 +22,7 @@ from .gaussian import GaussianRational
 from .orbit import MAX_ORBIT_D, cube_build, cube_operators
 from .racah import (
     central_values,
+    rep_blocks,
     rep_from_text,
     rep_to_text,
     verify_presentation,
@@ -491,34 +492,17 @@ def _parse_scalar(text: str) -> GaussianRational:
         raise ConfigError(f"bad scalar {text!r}: {exc}") from None
 
 
-def _largest_header(tokens: list[str]) -> int:
-    """The largest size in the `rows cols` headers of a rep file's blocks, read
-    without parsing an entry; the walk stops at a header that is not two
-    integers and leaves the error to the parser."""
-    largest = pos = 0
-    while pos + 2 < len(tokens):
-        try:
-            rows, cols = int(tokens[pos + 1]), int(tokens[pos + 2])
-        except ValueError:
-            break
-        largest = max(largest, rows, cols)
-        pos += 3 + max(rows * cols, 0)
-    return largest
-
-
 def _load_rep(path: str):
+    cap = MAX_MODULE_SIZE + 1  # a --rep file may be as large as R_d at the --d cap
     try:
         text = Path(path).read_text()
-    except (OSError, ValueError) as exc:
+        # the block headers meet the cap before any entry is parsed
+        size = max((max(rows, cols) for _, rows, cols, _ in rep_blocks(text.split())), default=0)
+        if size <= cap:
+            return rep_from_text(text)
+    except (OSError, ValueError, ZeroDivisionError, DimensionMismatch) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    cap = MAX_MODULE_SIZE + 1  # a --rep file may be as large as R_d at the --d cap
-    size = _largest_header(text.split())
-    if size > cap:
-        raise ConfigError(f"{path} has dimension {size}, above the cap of {cap}")
-    try:
-        return rep_from_text(text)
-    except (ValueError, ZeroDivisionError, DimensionMismatch) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+    raise ConfigError(f"{path} has dimension {size}, above the cap of {cap}")
 
 
 def build_parser() -> argparse.ArgumentParser:

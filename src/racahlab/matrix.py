@@ -320,17 +320,23 @@ class ExactMatrix:
     def to_text(self) -> str:
         return "\n".join([f"{self.rows} {self.cols}", *self._token_rows()]) + "\n"
 
+    @staticmethod
+    def header_from_tokens(tokens: Sequence[str], pos: int = 0) -> tuple[int, int]:
+        """Read the `rows cols` header at tokens[pos:], without the entries."""
+        if len(tokens) - pos < 2:
+            raise ValueError("matrix text too short")
+        rows, cols = int(tokens[pos]), int(tokens[pos + 1])
+        if rows <= 0 or cols <= 0:
+            raise ValueError(f"matrix header '{rows} {cols}' needs positive dimensions")
+        return rows, cols
+
     @classmethod
     def from_tokens(cls, tokens: Sequence[str], pos: int = 0) -> tuple["ExactMatrix", int]:
         """Read `rows cols` and rows*cols entries from tokens[pos:].
 
         Returns the matrix and the position of the first token after it.
         """
-        if len(tokens) - pos < 2:
-            raise ValueError("matrix text too short")
-        rows, cols = int(tokens[pos]), int(tokens[pos + 1])
-        if rows <= 0 or cols <= 0:
-            raise ValueError(f"matrix header '{rows} {cols}' needs positive dimensions")
+        rows, cols = cls.header_from_tokens(tokens, pos)
         end = pos + 2 + rows * cols
         body = tokens[pos + 2 : end]
         if len(body) != rows * cols:

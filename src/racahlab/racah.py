@@ -13,6 +13,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from .errors import DimensionMismatch, RelationFailure
 from .gaussian import GaussianRational
@@ -228,21 +229,33 @@ def rep_to_text(rep: RacahRep) -> str:
     return "\n".join(parts) + "\n"
 
 
-def rep_from_text(text: str) -> RacahRep:
-    """Parse labeled blocks, each a label, `rows cols`, then rows*cols entries.
+def rep_blocks(tokens: Sequence[str]) -> Iterator[tuple[str, int, int, int]]:
+    """Walk the labeled blocks of a rep file's tokens, each a label, `rows
+    cols`, then rows*cols entries, without parsing an entry.
 
-    Tokens are separated by any whitespace; line breaks carry no meaning.
+    Yields (label, rows, cols, pos), pos being the position of the header.
     """
-    tokens = text.split()
-    blocks: dict[str, ExactMatrix] = {}
+    seen = set()
     pos = 0
     while pos < len(tokens):
         label = tokens[pos]
         if label not in _BLOCK_ORDER:
             raise ValueError(f"unexpected block label {label!r}")
-        if label in blocks:
+        if label in seen:
             raise ValueError(f"repeated block label {label!r}")
-        blocks[label], pos = ExactMatrix.from_tokens(tokens, pos + 1)
+        seen.add(label)
+        rows, cols = ExactMatrix.header_from_tokens(tokens, pos + 1)
+        yield label, rows, cols, pos + 1
+        pos += 3 + rows * cols
+
+
+def rep_from_text(text: str) -> RacahRep:
+    """Parse the labeled blocks that ``rep_blocks`` walks.
+
+    Tokens are separated by any whitespace; line breaks carry no meaning.
+    """
+    tokens = text.split()
+    blocks = {label: ExactMatrix.from_tokens(tokens, pos)[0] for label, _, _, pos in rep_blocks(tokens)}
     missing = [name for name in _BLOCK_ORDER if name not in blocks]
     if missing:
         raise ValueError(f"missing blocks: {missing}")
@@ -252,3 +265,7 @@ def rep_from_text(text: str) -> RacahRep:
 
 def save_rep(rep: RacahRep, path) -> None:
     Path(path).write_text(rep_to_text(rep))
+
+
+def load_rep(path) -> RacahRep:
+    return rep_from_text(Path(path).read_text())

@@ -7,9 +7,8 @@ the first word with an imaginary part on, the span is realified, so
 membership over the Gaussian rationals is a rational rank test on integer
 rows either way.
 
-``is_full_matrix_algebra`` tries Norton's test and then a walk of the images
-mod a prime first; both can only certify the full matrix algebra (see its
-docstring).
+``is_full_matrix_algebra`` tries Norton's test mod a prime first, which can
+only certify the full matrix algebra (see its docstring).
 """
 
 from __future__ import annotations
@@ -121,15 +120,10 @@ def _norton(gens: Sequence[ExactMatrix], images: list, n: int) -> bool:
 def is_full_matrix_algebra(gens: Sequence[ExactMatrix]) -> bool:
     """True iff the generators generate the whole n x n matrix algebra.
 
-    Two certificates run first, and each can only answer True: Norton's
-    test (``_norton``), a spin of n vectors mod P, and then the closure walk
-    on the images mod P of the generators that have one, since rank mod P
-    never exceeds the exact rank.  When both stop short, ``algebra_closure``
+    Norton's test (``_norton``), two spins of n vectors mod P, runs first
+    and can only answer True.  When it gives no verdict, ``algebra_closure``
     decides, so every False is exact.
     """
     n = _size(gens)
     images = [image for image in map(_mod_image, gens) if image is not None]
-    if _norton(gens, images, n):
-        return True
-    kept = _walk([_identity_rows(n), *images], images, _mod_matmul, _ModSpan().add, n * n)
-    return len(kept) == n * n or algebra_closure(gens).dim == n * n
+    return _norton(gens, images, n) or algebra_closure(gens).dim == n * n

@@ -230,9 +230,10 @@ def test_sampled_irreducible_r6_is_certified_mod_p(monkeypatch):
 
 
 def test_irreducible_r16_takes_the_certificates(monkeypatch):
-    """On an irreducible R_16 draw Norton's test certifies Burnside without the
-    mod-P walk of the matrix algebra or the exact closure, and no root search
-    of the three minimal polynomials runs the exact gcd."""
+    """On an irreducible R_16 draw Norton's test certifies Burnside with two
+    spins of n vectors mod P, no walk of the matrix algebra and no exact
+    closure, and no root search of the three minimal polynomials runs the
+    exact gcd."""
     params = RdParams(GaussianRational(Fraction(2, 3), Fraction(1, 3)), GaussianRational(-2, 1),
                       GaussianRational(3, 1), 16)
     assert is_irreducible(params)
