@@ -627,6 +627,17 @@ def _mod_degree_bound(matrix: ExactMatrix) -> int:
     return len(_walk([_identity_rows(n), image], [image], _mod_matmul, _ModSpan().add, n * n))
 
 
+def _spins_mod_p(vec, images, n: int) -> bool:
+    """True only if the vector spins to rank n mod P under the images.  The
+    spin of its image mod P is the image of the exact spin's words, so rank n
+    mod P is rank n exactly; False gives no verdict."""
+    seed = _mod_ints(*_vector_ints(vec))
+    if seed is None:
+        return False
+    column = [[x] for x in seed]
+    return len(_walk([column], images, _mod_matmul, _ModSpan().add, n)) == n
+
+
 def _span_of_rows(pairs: Iterable, length: int) -> VectorSpan:
     """The span of Gaussian-integer rows given as (real row, imaginary row or None) pairs."""
     span = VectorSpan(length)
@@ -726,19 +737,44 @@ class Subspace:
 # -- minimal polynomial and eigenspaces ------------------------------------
 
 
+def _cyclic_minimal_polynomial(matrix: ExactMatrix) -> Poly | None:
+    """The minimal polynomial of e_0 or e_{n-1} under the matrix, if that
+    vector spins to rank n mod P; None otherwise."""
+    n = matrix.rows
+    image = _mod_image(matrix)
+    if image is None:
+        return None
+    for j in dict.fromkeys((0, n - 1)):
+        krylov = [tuple(ONE if i == j else ZERO for i in range(n))]
+        if _spins_mod_p(krylov[0], [image], n):
+            for _ in range(n):
+                krylov.append(matrix.apply(krylov[-1]))
+            basis = ExactMatrix.from_rows(list(zip(*krylov[:n])))
+            sol = solve_columns(basis, ExactMatrix(n, 1, krylov[n]))
+            return Poly([*(-x for x in sol.entries), ONE])
+    return None
+
+
 @lru_cache(maxsize=64)
 def minimal_polynomial(matrix: ExactMatrix) -> Poly:
-    """Monic least-degree annihilating polynomial, by Krylov span saturation.
+    """Monic least-degree annihilating polynomial.
 
-    The powers are independent mod P below the first power k that is not,
-    hence independent exactly, so the degree is at least k and the exact
-    search solves for the powers from k on: one ``solve_columns`` when P
-    reads the degree right, more only after an unlucky P.  Memoized on the
-    (immutable) matrix, so ``rd.min_polys`` and the Leonard check of one
-    module share each generator's computation.
+    Cyclic route: if e (e_0, then e_{n-1}) and its images e, Me, ...,
+    M^{n-1}e have rank n mod P, they are independent exactly, so the
+    minimal polynomial of e has degree n and, dividing that of M, equals it;
+    one n x n ``solve_columns`` gives its coefficients.  Otherwise, Krylov
+    span saturation over the flattened powers: they are independent mod P
+    below the first power k that is not, hence independent exactly, so the
+    degree is at least k and the exact search solves for the powers from k
+    on: one ``solve_columns`` when P reads the degree right, more only after
+    an unlucky P.  Memoized on the (immutable) matrix, so ``rd.min_polys``
+    and the Leonard check of one module share each generator's computation.
     """
     if not matrix.is_square:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
+    cyclic = _cyclic_minimal_polynomial(matrix)
+    if cyclic is not None:
+        return cyclic
     n = matrix.rows
     low = _mod_degree_bound(matrix)
     powers = [ExactMatrix.identity(n)]
@@ -891,6 +927,7 @@ def _is_scaled_root(coeffs: Sequence[tuple[int, int]], x: int, y: int, scale: in
     return not (acc_re or acc_im)
 
 
+@lru_cache(maxsize=64)
 def rational_roots(p: Poly) -> RootSearch:
     """All roots of p in the Gaussian rationals, by Hensel lifting (Loos 1983).
 
@@ -900,6 +937,8 @@ def rational_roots(p: Poly) -> RootSearch:
     q is p itself when ``_squarefree_mod_p`` certifies p, and p // gcd(p, p')
     otherwise.  Each candidate is kept iff it is an exact root of q, tested in
     integers on q's Gaussian-integer coefficients; q and p have the same roots.
+    Memoized on the (immutable) polynomial, so Norton's test and
+    ``eigen_split`` share each search.
     """
     if p.is_zero:
         raise ValueError("root search requires a nonzero polynomial")

@@ -2,9 +2,12 @@
 
 A quadruple (A, B, C, Delta) of equally sized square matrices is checked
 against the defining relations: the three commutators equal 2*Delta, and the
-three bracket combinations together with A+B+C are central.  Central values
-and the three symmetric central elements are evaluated verbatim as matrix
-expressions; matrix arithmetic is the oracle here, with no simplification.
+three bracket combinations together with A+B+C are central.  A central
+element that is a scalar matrix commutes with everything, so its four
+commutators are not multiplied out; the others are.  ``ensure_verified``
+returns a rep carrying the report and central values it computed, which
+``verify_presentation`` and ``central_values`` then return; any other rep is
+checked afresh.
 """
 
 from __future__ import annotations
@@ -30,7 +33,14 @@ class RacahRep:
     B: ExactMatrix
     C: ExactMatrix
     Delta: ExactMatrix
-    verified: bool = field(default=False, compare=False)
+    # (report, central values) set by ensure_verified; replace() drops it
+    carried: tuple[PresentationReport, CentralValues] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    @property
+    def verified(self) -> bool:
+        return self.carried is not None
 
     def __post_init__(self):
         for name in ("A", "B", "C", "Delta"):
@@ -88,8 +98,9 @@ def _central_from_products(rep: RacahRep, prod: dict[str, ExactMatrix]) -> Centr
     return CentralValues(alpha, beta, gamma, delta)
 
 
-def presentation_checks(rep: RacahRep) -> list[CheckResult]:
-    prod = _pair_products(rep)
+def _relation_checks(
+    rep: RacahRep, prod: dict[str, ExactMatrix], central: CentralValues
+) -> list[CheckResult]:
     two_delta = rep.Delta * 2
     checks = []
     for label, residual in (
@@ -98,14 +109,14 @@ def presentation_checks(rep: RacahRep) -> list[CheckResult]:
         ("[C,A] = 2*Delta", prod["CA"] - prod["AC"] - two_delta),
     ):
         checks.append(CheckResult(label, residual.is_zero(), residual.nonzero_count()))
-    central = _central_from_products(rep, prod)
     ops = rep.operators()
     for name, matrix in (
         ("alpha", central.alpha),
         ("beta", central.beta),
         ("gamma", central.gamma),
     ):
-        if matrix.is_zero():
+        if matrix.scalar_value() is not None:
+            # c*I commutes with every matrix
             for op_name in ops:
                 checks.append(CheckResult(f"{name} commutes with {op_name}", True, 0))
             continue
@@ -136,27 +147,39 @@ def presentation_checks(rep: RacahRep) -> list[CheckResult]:
     return checks
 
 
+def _verify(rep: RacahRep) -> tuple[PresentationReport, CentralValues]:
+    """The presentation report and central values, from one set of pair products."""
+    prod = _pair_products(rep)
+    central = _central_from_products(rep, prod)
+    checks = _relation_checks(rep, prod, central)
+    return PresentationReport(tuple(checks), all(c.passed for c in checks)), central
+
+
+def presentation_checks(rep: RacahRep) -> list[CheckResult]:
+    return list(verify_presentation(rep).checks)
+
+
 def verify_presentation(rep: RacahRep) -> PresentationReport:
     """Check the defining relations; exact, no tolerances."""
-    checks = presentation_checks(rep)
-    return PresentationReport(tuple(checks), all(c.passed for c in checks))
+    return (rep.carried or _verify(rep))[0]
 
 
 def ensure_verified(rep: RacahRep) -> RacahRep:
-    """Return a rep flagged verified, running the presentation check if needed."""
+    """Return a verified rep carrying its report, running the check if needed."""
     if rep.verified:
         return rep
-    report = verify_presentation(rep)
+    carried = report, _central = _verify(rep)
     if not report.ok:
         failed = [c.identity for c in report.checks if not c.passed]
         raise RelationFailure(f"presentation relations fail: {failed}")
-    return dataclasses.replace(rep, verified=True)
+    out = dataclasses.replace(rep)
+    object.__setattr__(out, "carried", carried)
+    return out
 
 
 def central_values(rep: RacahRep) -> CentralValues:
     """The four central operators of a verified quadruple."""
-    rep = ensure_verified(rep)
-    return _central_from_products(rep, _pair_products(rep))
+    return ensure_verified(rep).carried[1]
 
 
 def casimirs(rep: RacahRep) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
@@ -183,24 +206,32 @@ def casimirs(rep: RacahRep) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
 
 
 def verify_section6_relations(rep: RacahRep) -> PresentationReport:
-    """The six auxiliary quadratic relations, as exact matrix equations."""
+    """The six auxiliary quadratic relations, as exact matrix equations.
+
+    Each pair product and square is computed once; x^2y - 2xyx + yx^2 is
+    evaluated as x[x,y] - [x,y]x, and x*delta as a scalar multiple when
+    delta is scalar.
+    """
     rep = ensure_verified(rep)
-    central = central_values(rep)
-    a, b, c = rep.A, rep.B, rep.C
-    al, be, ga, de = central.alpha, central.beta, central.gamma, central.delta
+    central = rep.carried[1]
+    ops = {"A": rep.A, "B": rep.B, "C": rep.C}
+    cent = {"A": central.alpha, "B": central.beta, "C": central.gamma}
+    scalar = central.delta.scalar_value()
+    de = central.delta if scalar is None else scalar
+    prod = {x + y: ops[x] * ops[y] for x in ops for y in ops}
     checks = []
-    for label, x, y, cent, sign in (
-        ("A^2B - 2ABA + BA^2 - 2AB - 2BA = 2A^2 - 2A*delta + 2alpha", a, b, al, 1),
-        ("B^2C - 2BCB + CB^2 - 2BC - 2CB = 2B^2 - 2B*delta + 2beta", b, c, be, 1),
-        ("C^2A - 2CAC + AC^2 - 2CA - 2AC = 2C^2 - 2C*delta + 2gamma", c, a, ga, 1),
-        ("A^2C - 2ACA + CA^2 - 2AC - 2CA = 2A^2 - 2A*delta - 2alpha", a, c, al, -1),
-        ("B^2A - 2BAB + AB^2 - 2BA - 2AB = 2B^2 - 2B*delta - 2beta", b, a, be, -1),
-        ("C^2B - 2CBC + BC^2 - 2CB - 2BC = 2C^2 - 2C*delta - 2gamma", c, b, ga, -1),
+    for label, x, y, sign in (
+        ("A^2B - 2ABA + BA^2 - 2AB - 2BA = 2A^2 - 2A*delta + 2alpha", "A", "B", 1),
+        ("B^2C - 2BCB + CB^2 - 2BC - 2CB = 2B^2 - 2B*delta + 2beta", "B", "C", 1),
+        ("C^2A - 2CAC + AC^2 - 2CA - 2AC = 2C^2 - 2C*delta + 2gamma", "C", "A", 1),
+        ("A^2C - 2ACA + CA^2 - 2AC - 2CA = 2A^2 - 2A*delta - 2alpha", "A", "C", -1),
+        ("B^2A - 2BAB + AB^2 - 2BA - 2AB = 2B^2 - 2B*delta - 2beta", "B", "A", -1),
+        ("C^2B - 2CBC + BC^2 - 2CB - 2BC = 2C^2 - 2C*delta - 2gamma", "C", "B", -1),
     ):
-        xy = x * y
-        yx = y * x
-        lhs = x * xy - (x * y * x) * 2 + yx * x - xy * 2 - yx * 2
-        rhs = x * x * 2 - (x * de) * 2 + cent * (2 * sign)
+        xy, yx, op = prod[x + y], prod[y + x], ops[x]
+        bracket = xy - yx
+        lhs = op * bracket - bracket * op - (xy + yx) * 2
+        rhs = (prod[x + x] - op * de) * 2 + cent[x] * (2 * sign)
         residual = lhs - rhs
         checks.append(CheckResult(label, residual.is_zero(), residual.nonzero_count()))
     return PresentationReport(tuple(checks), all(ch.passed for ch in checks))

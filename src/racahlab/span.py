@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch
 from .matrix import ExactMatrix, VectorSpan, _from_ints, _gauss_int_matmul, _identity_rows, _walk
-from .matrix import _ModSpan, _mod_image, _mod_ints, _mod_matmul, _vector_ints
+from .matrix import _ModSpan, _mod_image, _spins_mod_p
 from .matrix import kernel_basis, minimal_polynomial, rational_roots
 
 
@@ -78,17 +78,6 @@ def algebra_closure(gens: Sequence[ExactMatrix]) -> ClosureResult:
 def _mod_rank(rows) -> int:
     span = _ModSpan()
     return sum(span.add([row]) for row in rows)
-
-
-def _spins_mod_p(vec, images, n: int) -> bool:
-    """True only if the vector spins to rank n mod P under the images.  The
-    spin of its image mod P is the image of the exact spin's words, so rank n
-    mod P is rank n exactly; False gives no verdict."""
-    seed = _mod_ints(*_vector_ints(vec))
-    if seed is None:
-        return False
-    column = [[x] for x in seed]
-    return len(_walk([column], images, _mod_matmul, _ModSpan().add, n)) == n
 
 
 def _norton(gens: Sequence[ExactMatrix], images: list, n: int) -> bool:

@@ -53,6 +53,11 @@ STDOUT_CASES = {
         "rd", "build", "--a=2/3+1/3*i", "--b=-2+1*i", "--c=3+1*i", "--d", "12",
     ],
     "leonard_check_d12.json": ["leonard", "check", "--rep", str(GOLDEN / "rd_build_d12.txt")],
+    # the relation layer and minimal polynomials on 33 x 33 quadruples
+    "suite_d32_samples2_seed1.json": [
+        "suite", "--targets", "lemma6_suite,prop2_4",
+        "--d", "32..32", "--samples", "2", "--seed", "1",
+    ],
 }
 
 EXPORT_D = 4

@@ -21,6 +21,7 @@ from racahlab.matrix import (
     Subspace,
     VectorSpan,
     _IntEchelon,
+    _cyclic_minimal_polynomial,
     _flattened,
     _lifting_prime,
     _mod_degree_bound,
@@ -35,6 +36,7 @@ from racahlab.matrix import (
     solve_columns,
 )
 from racahlab.polynomial import Poly
+from racahlab.rd import RdParams, construct, is_irreducible
 
 
 def test_rref_identity_and_zero():
@@ -272,10 +274,11 @@ def test_certificate_prime():
 
 
 def _count_solves(monkeypatch):
+    """The shapes of the coefficient matrices solved, from here on."""
     calls = []
 
     def spy(a, b):
-        calls.append(a.cols)
+        calls.append((a.rows, a.cols))
         return solve_columns(a, b)
 
     monkeypatch.setattr(matrix_module, "solve_columns", spy)
@@ -293,7 +296,7 @@ def test_minimal_polynomial_past_a_low_bound_mod_p(entry, bound, monkeypatch):
     assert _mod_degree_bound(m) == bound
     calls = _count_solves(monkeypatch)
     assert minimal_polynomial(m) == Poly.from_roots([0, entry])
-    assert calls == [1, 2]
+    assert calls == [(4, 1), (4, 2)]
 
 
 def test_minimal_polynomial_solves_once_when_p_reads_the_degree(monkeypatch):
@@ -301,7 +304,51 @@ def test_minimal_polynomial_solves_once_when_p_reads_the_degree(monkeypatch):
     assert _mod_degree_bound(m) == 3
     calls = _count_solves(monkeypatch)
     assert minimal_polynomial(m) == Poly.from_roots([1, 1, I])
-    assert calls == [3]
+    assert calls == [(9, 3)]
+
+
+# -- the cyclic-vector route and its fallback -----------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(_krylov_matrices())
+def test_cyclic_route_matches_stepwise_search(m):
+    cyclic = _cyclic_minimal_polynomial(m)
+    assert cyclic is None or cyclic == _stepwise_minimal_polynomial(m)
+
+
+# Neither e_0 nor e_{n-1} spins to rank n mod P here: it is an eigenvector,
+# P reads a nonzero entry as 0, or P in a denominator leaves no image.  The
+# flattened-powers search must answer.
+@pytest.mark.parametrize(
+    "m, expected",
+    [
+        (ExactMatrix.scalar_matrix(3, Fraction(2, 3)), Poly.from_roots([Fraction(2, 3)])),
+        (ExactMatrix.diagonal([1, 1, 2]), Poly.from_roots([1, 2])),
+        (ExactMatrix.diagonal([1, 2, I]), Poly.from_roots([1, 2, I])),
+        (ExactMatrix.diagonal([0, _P]), Poly.from_roots([0, _P])),
+        (ExactMatrix.from_rows([[1, 0], [_P, 1]]), Poly.from_roots([1, 1])),
+        (ExactMatrix.from_rows([[0, Fraction(1, _P)], [1, 0]]), Poly((-Fraction(1, _P), 0, 1))),
+    ],
+    ids=["scalar", "diag(1,1,2)", "distinct-diagonal", "diag(0,P)", "P-below-the-diagonal", "1/P"],
+)
+def test_non_cyclic_matrices_take_the_flattened_search(m, expected, monkeypatch):
+    assert _cyclic_minimal_polynomial(m) is None
+    calls = _count_solves(monkeypatch)
+    assert minimal_polynomial(m) == expected
+    assert calls and all(rows == m.rows**2 for rows, _cols in calls)
+    assert expected == _stepwise_minimal_polynomial(m)
+
+
+def test_rd_generators_take_the_cyclic_route(monkeypatch):
+    params = RdParams(GaussianRational(Fraction(2, 3), Fraction(1, 3)), GaussianRational(-2, 1),
+                      GaussianRational(3, 1), 6)
+    assert is_irreducible(params)
+    rep = construct(params)
+    for op in (rep.A, rep.B, rep.C):
+        calls = _count_solves(monkeypatch)
+        assert minimal_polynomial(op) == _stepwise_minimal_polynomial(op)
+        assert calls == [(7, 7)]
 
 
 class TestEigenSplit:
@@ -540,6 +587,7 @@ def test_planted_polynomials_take_the_exact_route(p, squarefree, roots, monkeypa
         return gcd_method(self, other)
 
     monkeypatch.setattr(Poly, "gcd", spy)
+    rational_roots.cache_clear()  # a memo hit would run no gcd
     assert not _squarefree_mod_p(p)
     assert p.is_squarefree == squarefree
     expected = tuple(sorted(map(gr, roots), key=lambda c: c.sort_key()))

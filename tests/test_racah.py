@@ -1,15 +1,21 @@
 """Operator quadruples: presentation checks, central values, the symmetric
 central elements, and the auxiliary relations."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from racahlab.cli import sample_params
 from racahlab.errors import DimensionMismatch, RelationFailure
 from racahlab.gaussian import GaussianRational, gr
 from racahlab.matrix import ExactMatrix
+from racahlab.pbw import CheckResult
 from racahlab.racah import (
+    CentralValues,
+    PresentationReport,
     RacahRep,
     casimirs,
     central_values,
@@ -22,6 +28,7 @@ from racahlab.racah import (
     verify_section6_relations,
 )
 from racahlab.rd import RdParams, construct
+from racahlab.sl2 import build_Ln, sharp_pullback
 
 Q = Fraction(-1, 4)
 
@@ -179,3 +186,123 @@ def test_rep_text_roundtrip_property(rep):
     assert rep_from_text(text) == rep
     # tokens may be laid out on lines in any way
     assert rep_to_text(rep_from_text(" ".join(text.split()))) == text
+
+
+# -- the relation layer against a verbatim oracle ------------------------------
+
+
+def _oracle_presentation(rep):
+    """Report and central values with every product multiplied out: no
+    scalar shortcut, nothing carried."""
+    ops = {"A": rep.A, "B": rep.B, "C": rep.C, "D": rep.Delta}
+    prod = {x + y: ops[x] * ops[y] for x in ops for y in ops if x != y}
+    central = CentralValues(
+        prod["AD"] - prod["DA"] + prod["AC"] - prod["BA"],
+        prod["BD"] - prod["DB"] + prod["BA"] - prod["CB"],
+        prod["CD"] - prod["DC"] + prod["CB"] - prod["AC"],
+        rep.A + rep.B + rep.C,
+    )
+    residuals = [
+        (f"[{x},{y}] = 2*Delta", prod[x + y] - prod[y + x] - rep.Delta * 2)
+        for x, y in (("A", "B"), ("B", "C"), ("C", "A"))
+    ]
+    for name in ("alpha", "beta", "gamma", "delta"):
+        m = getattr(central, name)
+        for op_name, op in rep.operators().items():
+            residuals.append((f"{name} commutes with {op_name}", m * op - op * m))
+    checks = [CheckResult(label, r.is_zero(), r.nonzero_count()) for label, r in residuals]
+    return PresentationReport(tuple(checks), all(c.passed for c in checks)), central
+
+
+def _oracle_section6(rep, central):
+    """The six auxiliary relations evaluated verbatim, one identity at a time."""
+    a, b, c = rep.A, rep.B, rep.C
+    al, be, ga, de = central.alpha, central.beta, central.gamma, central.delta
+    checks = []
+    for label, x, y, cent, sign in (
+        ("A^2B - 2ABA + BA^2 - 2AB - 2BA = 2A^2 - 2A*delta + 2alpha", a, b, al, 1),
+        ("B^2C - 2BCB + CB^2 - 2BC - 2CB = 2B^2 - 2B*delta + 2beta", b, c, be, 1),
+        ("C^2A - 2CAC + AC^2 - 2CA - 2AC = 2C^2 - 2C*delta + 2gamma", c, a, ga, 1),
+        ("A^2C - 2ACA + CA^2 - 2AC - 2CA = 2A^2 - 2A*delta - 2alpha", a, c, al, -1),
+        ("B^2A - 2BAB + AB^2 - 2BA - 2AB = 2B^2 - 2B*delta - 2beta", b, a, be, -1),
+        ("C^2B - 2CBC + BC^2 - 2CB - 2BC = 2C^2 - 2C*delta - 2gamma", c, b, ga, -1),
+    ):
+        xy = x * y
+        yx = y * x
+        lhs = x * xy - (x * y * x) * 2 + yx * x - xy * 2 - yx * 2
+        rhs = x * x * 2 - (x * de) * 2 + cent * (2 * sign)
+        residual = lhs - rhs
+        checks.append(CheckResult(label, residual.is_zero(), residual.nonzero_count()))
+    return PresentationReport(tuple(checks), all(ch.passed for ch in checks))
+
+
+def _assert_matches_oracle(rep):
+    report, central = _oracle_presentation(rep)
+    assert verify_presentation(rep) == report
+    if not report.ok:
+        return report
+    assert central_values(rep) == central
+    assert verify_section6_relations(rep) == _oracle_section6(rep, central)
+    assert ensure_verified(rep).carried == (report, central)
+    return report
+
+
+def _direct_sum(x, y):
+    blocks = []
+    for name in ("A", "B", "C", "Delta"):
+        p, q = getattr(x, name), getattr(y, name)
+        rows = [list(p.row_list(i)) + [0] * q.cols for i in range(p.rows)]
+        rows += [[0] * p.cols + list(q.row_list(i)) for i in range(q.rows)]
+        blocks.append(ExactMatrix.from_rows(rows))
+    return RacahRep(x.dim + y.dim, *blocks)
+
+
+def test_seeded_draws_match_the_oracle():
+    rng = random.Random(17)
+    for d in range(7):
+        for _ in range(2):
+            rep = construct(sample_params(rng, d))
+            assert rep.verified
+            assert _assert_matches_oracle(rep).ok
+
+
+def test_pullback_text_and_twists_match_the_oracle():
+    pulled = sharp_pullback(build_Ln(4))
+    assert pulled.verified and _assert_matches_oracle(pulled).ok
+    rep = construct(RdParams(Fraction(2, 3), GaussianRational(-1, 1), Fraction(1, 2), 3))
+    for other in (rep_from_text(rep_to_text(rep)), sigma_twist(rep), tau_twist(rep)):
+        assert not other.verified  # carries nothing, so it is checked afresh
+        assert _assert_matches_oracle(other).ok
+
+
+def test_replace_drops_the_carried_report():
+    rep = construct(RdParams(1, Fraction(1, 2), Fraction(-2, 3), 2))
+    assert dataclasses.replace(rep).carried is None
+    changed = dataclasses.replace(rep, Delta=rep.Delta * 2)
+    assert not changed.verified
+    assert not _assert_matches_oracle(changed).ok
+    with pytest.raises(RelationFailure):
+        ensure_verified(changed)
+
+
+def test_nonscalar_alpha_is_multiplied_out():
+    # a failing quadruple: its alpha commutes with nothing
+    planted = RacahRep(
+        2,
+        ExactMatrix.diagonal([1, 2]),
+        ExactMatrix.from_rows([[0, 1], [0, 0]]),
+        ExactMatrix.from_rows([[1, 0], [1, 0]]),
+        ExactMatrix.from_rows([[0, 1], [2, 3]]),
+    )
+    report = _assert_matches_oracle(planted)
+    assert _oracle_presentation(planted)[1].alpha.scalar_value() is None
+    assert any(c.residual_term_count for c in report.checks if c.identity.startswith("alpha"))
+    # a passing one: a sum of two modules with different central values, so
+    # alpha and delta are central but not scalar
+    summed = _direct_sum(
+        construct(RdParams(1, Fraction(1, 2), Fraction(-2, 3), 1)),
+        construct(RdParams(0, Fraction(1, 3), 2, 1)),
+    )
+    central = _oracle_presentation(summed)[1]
+    assert central.alpha.scalar_value() is None and central.delta.scalar_value() is None
+    assert _assert_matches_oracle(summed).ok

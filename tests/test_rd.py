@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from racahlab import matrix as matrix_module, span as span_module
+from racahlab import leonard, matrix as matrix_module, span as span_module
 from racahlab.cli import sample_params
 from racahlab.errors import NotIrreducible
 from racahlab.gaussian import GaussianRational, gr
@@ -231,15 +231,15 @@ def test_sampled_irreducible_r6_is_certified_mod_p(monkeypatch):
 
 def test_irreducible_r16_takes_the_certificates(monkeypatch):
     """On an irreducible R_16 draw Norton's test certifies Burnside with two
-    spins of n vectors mod P, no walk of the matrix algebra and no exact
-    closure, and no root search of the three minimal polynomials runs the
-    exact gcd."""
+    spins of n vectors mod P, after one more for A's minimal polynomial, no
+    walk of the matrix algebra and no exact closure, and no root search of
+    the three minimal polynomials runs the exact gcd."""
     params = RdParams(GaussianRational(Fraction(2, 3), Fraction(1, 3)), GaussianRational(-2, 1),
                       GaussianRational(3, 1), 16)
     assert is_irreducible(params)
     rep = construct(params)
     walks, gcds = [], []
-    walk, gcd = span_module._walk, Poly.gcd
+    walk, gcd = matrix_module._walk, Poly.gcd
 
     def walk_spy(seeds, gens, product, add, full):
         walks.append(full)
@@ -252,15 +252,40 @@ def test_irreducible_r16_takes_the_certificates(monkeypatch):
     def exact_closure(gens):
         raise AssertionError("the exact closure ran")
 
-    monkeypatch.setattr(span_module, "_walk", walk_spy)
+    monkeypatch.setattr(matrix_module, "_walk", walk_spy)
     monkeypatch.setattr(span_module, "algebra_closure", exact_closure)
     monkeypatch.setattr(Poly, "gcd", gcd_spy)
-    minimal_polynomial.cache_clear()  # so that no earlier test decides what runs here
+    # so that no earlier test decides what runs here
+    minimal_polynomial.cache_clear()
+    rational_roots.cache_clear()
     assert burnside_irreducible(rep)
-    assert walks == [rep.dim, rep.dim]  # the two spins of Norton's test
+    # A's cyclic vector, then the two spins of Norton's test
+    assert walks == [rep.dim, rep.dim, rep.dim]
     for op in (rep.A, rep.B, rep.C):
         assert rational_roots(minimal_polynomial(op)).splits
     assert gcds == []
+
+
+def test_root_search_runs_once_per_polynomial(monkeypatch):
+    """Norton's test and the Leonard check of one R_6 draw share each root
+    search of a minimal polynomial."""
+    params = RdParams(GaussianRational(Fraction(2, 3), Fraction(1, 3)), GaussianRational(-2, 1),
+                      GaussianRational(3, 1), 6)
+    rep = construct(params)
+    searched = []
+    certify = matrix_module._squarefree_mod_p
+
+    def spy(p):
+        searched.append(p)
+        return certify(p)
+
+    monkeypatch.setattr(matrix_module, "_squarefree_mod_p", spy)
+    minimal_polynomial.cache_clear()
+    rational_roots.cache_clear()
+    assert burnside_irreducible(rep)
+    assert leonard.check(rep.A, rep.B, rep.C).passed
+    polys = [minimal_polynomial(op) for op in (rep.A, rep.B, rep.C)]
+    assert sorted(map(polys.index, searched)) == [0, 1, 2]
 
 
 def test_min_polys_reuses_the_built_module():
