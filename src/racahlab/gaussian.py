@@ -1,15 +1,18 @@
 """Exact scalars over the Gaussian rationals, the ground field of the library.
 
 Every quantity in the library is a ``GaussianRational``: a complex number
-``a + b*i`` whose real and imaginary parts are exact ``fractions.Fraction``
-values.  Arithmetic never rounds and division by zero raises immediately.
+stored as three integers, ``(num_re + num_im*i) / den`` with ``den > 0`` and
+``gcd(num_re, num_im, den) == 1``, so equal scalars are stored alike.  Each
+operation is integer cross-multiplication followed by one ``gcd``; the real
+and imaginary parts are ``fractions.Fraction`` views built on demand.
+Arithmetic never rounds and division by zero raises immediately.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 _TOKEN = _re.compile(
     r"^(?P<re>[+-]?\d+(?:/\d+)?)"
@@ -18,16 +21,34 @@ _TOKEN = _re.compile(
 
 
 class GaussianRational:
-    """An exact complex scalar ``re + im*i`` with rational parts."""
+    """An exact complex scalar ``re + im*i`` with rational parts, stored as
+    ``(num_re + num_im*i) / den`` (see the module docstring)."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("num_re", "num_im", "den")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            # both parts are in lowest terms, so the lcm leaves gcd(a, b, d) == 1
+            d = lcm(re.denominator, im.denominator)
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        _set_re(self, a)
+        _set_im(self, b)
+        _set_den(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.num_re, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.num_im, self.den)
 
     # -- constructors ------------------------------------------------
 
@@ -49,12 +70,12 @@ class GaussianRational:
 
     def token(self) -> str:
         """Render in the exchange format ``p/q`` / ``p/q±r/s*i``."""
-        re_tok = f"{self.re.numerator}/{self.re.denominator}"
-        if self.im == 0:
+        re, im = self.re, self.im
+        re_tok = f"{re.numerator}/{re.denominator}"
+        if im == 0:
             return re_tok
-        sign = "+" if self.im > 0 else "-"
-        im = abs(self.im)
-        return f"{re_tok}{sign}{im.numerator}/{im.denominator}*i"
+        sign = "+" if im > 0 else "-"
+        return f"{re_tok}{sign}{abs(im.numerator)}/{im.denominator}*i"
 
     def __repr__(self):
         return self.token()
@@ -63,64 +84,62 @@ class GaussianRational:
 
     # -- arithmetic --------------------------------------------------
 
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
-        return NotImplemented
-
     def __add__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, f = self.den, other.den
+        if d == f:
+            return _make(self.num_re + other.num_re, self.num_im + other.num_im, d)
+        return _make(self.num_re * f + other.num_re * d, self.num_im * f + other.num_im * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d, f = self.den, other.den
+        if d == f:
+            return _make(self.num_re - other.num_re, self.num_im - other.num_im, d)
+        return _make(self.num_re * f - other.num_re * d, self.num_im * f - other.num_im * d, d * f)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _stored(-self.num_re, -self.num_im, self.den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.im == 0 and other.im == 0:
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.num_re, self.num_im, other.num_re, other.num_im
+        if not e:
+            return _make(a * c, b * c, self.den * other.den)
+        if not b:
+            return _make(a * c, a * e, self.den * other.den)
+        return _make(a * c - b * e, a * e + b * c, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in the Gaussian rationals")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        a, b, c, e, f = self.num_re, self.num_im, other.num_re, other.num_im, other.den
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero in the Gaussian rationals")
+            return _make(a * f, b * f, self.den * c)
+        # (a + b*i)/d / ((c + e*i)/f) = (a + b*i)(c - e*i) f / (d (c^2 + e^2))
+        return _make((a * c + b * e) * f, (b * c - a * e) * f, self.den * (c * c + e * e))
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other / self
@@ -143,33 +162,72 @@ class GaussianRational:
     # -- structure ---------------------------------------------------
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _stored(self.num_re, -self.num_im, self.den)
 
     def norm(self) -> Fraction:
         """The field norm ``re**2 + im**2`` (a nonnegative rational)."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.num_re * self.num_re + self.num_im * self.num_im, self.den * self.den)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self.num_im == 0
 
     def sort_key(self):
         """A total order used only for deterministic output."""
         return (self.re, self.im)
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return (
+            self.num_re == other.num_re and self.num_im == other.num_im and self.den == other.den
+        )
 
     def __hash__(self):
-        if self.im == 0:
+        # a real value hashes as its Fraction, so as an int when it is one
+        if self.num_im == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.num_re != 0 or self.num_im != 0
+
+
+_new = object.__new__
+# the slots' own setters, which get round the immutable __setattr__
+_set_re, _set_im, _set_den = (
+    GaussianRational.__dict__[name].__set__ for name in GaussianRational.__slots__
+)
+
+
+def _stored(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b*i) / d for a triple already in canonical form."""
+    z = _new(GaussianRational)
+    _set_re(z, a)
+    _set_im(z, b)
+    _set_den(z, d)
+    return z
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b*i) / d brought to canonical form; d must be nonzero."""
+    g = gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _stored(a, b, d)
+
+
+def _coerce(value):
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, int):
+        return _stored(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _stored(value.numerator, 0, value.denominator)
+    return NotImplemented
 
 
 ZERO = GaussianRational(0)

@@ -15,7 +15,6 @@ independence ahead of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, repeat
 from math import gcd, isqrt, lcm
@@ -23,7 +22,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NonSplitting, RootsMismatch
-from .gaussian import GaussianRational, ONE, ZERO, gr
+from .gaussian import GaussianRational, ONE, ZERO, _make, gr
 from .polynomial import Poly
 
 Vector = tuple[GaussianRational, ...]
@@ -76,26 +75,11 @@ def _gauss_int_matmul(a, b, cols):
     return re_part, im_part
 
 
-def _scalar_maker(den: int):
-    """Memoized (re, im) -> GaussianRational(re/den, im/den) for integers."""
-    cache: dict[tuple[int, int], GaussianRational] = {}
-
-    def wrap(re_v: int, im_v: int) -> GaussianRational:
-        key = (re_v, im_v)
-        got = cache.get(key)
-        if got is None:
-            got = GaussianRational(Fraction(re_v, den), Fraction(im_v, den))
-            cache[key] = got
-        return got
-
-    return wrap
-
-
 def _vector_ints(vec: Sequence[GaussianRational]) -> tuple[int, list[int], list[int] | None]:
     """(den, re, im or None) with vec = (re + i*im) / den and den the lcm of the denominators."""
-    den = lcm(*(x.re.denominator for x in vec), *(x.im.denominator for x in vec))
-    re_part = [x.re.numerator * (den // x.re.denominator) for x in vec]
-    im_part = [x.im.numerator * (den // x.im.denominator) for x in vec]
+    den = lcm(*(x.den for x in vec))
+    re_part = [x.num_re * (den // x.den) for x in vec]
+    im_part = [x.num_im * (den // x.den) for x in vec]
     return den, re_part, (im_part if any(im_part) else None)
 
 
@@ -195,9 +179,8 @@ class ExactMatrix:
         return self.row_list(i)[j]
 
     def row_list(self, i: int) -> list[GaussianRational]:
-        wrap = _scalar_maker(self.den)
         im_row = (0,) * self.cols if self.im is None else self.im[i]
-        return list(map(wrap, self.re[i], im_row))
+        return list(map(_make, self.re[i], im_row, repeat(self.den)))
 
     @property
     def is_square(self) -> bool:
@@ -264,7 +247,7 @@ class ExactMatrix:
             if v_im:
                 re_part = [x - y for x, y in zip(re_part, dots(self.im, v_im))]
             im_part = [x + y for x, y in zip(im_part, dots(self.im, v_re))]
-        return tuple(map(_scalar_maker(self.den * vden), re_part, im_part))
+        return tuple(map(_make, re_part, im_part, repeat(self.den * vden)))
 
     # -- structure ------------------------------------------------------
 
@@ -277,7 +260,7 @@ class ExactMatrix:
         re_sum, im_sum = (
             sum(row[i] for i, row in enumerate(rows or ())) for rows in (self.re, self.im)
         )
-        return GaussianRational(Fraction(re_sum, self.den), Fraction(im_sum, self.den))
+        return _make(re_sum, im_sum, self.den)
 
     def is_zero(self) -> bool:
         return self.im is None and not any(map(any, self.re))
@@ -536,9 +519,8 @@ class VectorSpan:
         found = []
         for piv, row in zip(self._echelon.pivots, self._echelon.reduced()):
             if piv % step == 0:
-                wrap = _scalar_maker(row[piv])
                 im_part = row[1::2] if self._complex else repeat(0)
-                found.append((piv // step, tuple(map(wrap, row[::step], im_part))))
+                found.append((piv // step, tuple(map(_make, row[::step], im_part, repeat(row[piv])))))
         found.sort(key=lambda pair: pair[0])
         return [piv for piv, _row in found], [row for _piv, row in found]
 
@@ -974,6 +956,6 @@ def rational_roots(p: Poly) -> RootSearch:
                 x -= modulus if 2 * x > modulus else 0
                 y -= modulus if 2 * y > modulus else 0
                 if x * x + y * y <= bound * bound and _is_scaled_root(coeffs, x, y, norm_lead):
-                    roots.append(GaussianRational(Fraction(x, norm_lead), Fraction(y, norm_lead)))
+                    roots.append(_make(x, y, norm_lead))
     ordered = tuple(sorted(roots, key=lambda c: c.sort_key()))
     return RootSearch(ordered, len(ordered) == q.degree)

@@ -171,9 +171,9 @@ def is_irreducible(p: RdParams) -> IrreducibilityWitness:
 def burnside_irreducible(rep: RacahRep) -> bool:
     """Independent oracle: A, B and C generate the full matrix algebra.
 
-    Norton's test mod P certifies the "irreducible" verdicts; every
-    "reducible" verdict comes from the exact closure
-    (``span.is_full_matrix_algebra``).
+    Norton's test decides both verdicts from two vector spins whenever a
+    generator has an element of nullity 1; only otherwise does the exact
+    closure decide (``span.is_full_matrix_algebra``).
     """
     return is_full_matrix_algebra([rep.A, rep.B, rep.C])
 

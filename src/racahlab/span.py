@@ -7,8 +7,9 @@ the first word with an imaginary part on, the span is realified, so
 membership over the Gaussian rationals is a rational rank test on integer
 rows either way.
 
-``is_full_matrix_algebra`` tries Norton's test mod a prime first, which can
-only certify the full matrix algebra (see its docstring).
+``is_full_matrix_algebra`` tries Norton's test first, which decides both
+ways whenever a generator has an element of nullity 1 (see its docstring);
+the closure decides only the sets where no generator has one.
 """
 
 from __future__ import annotations
@@ -80,18 +81,31 @@ def _mod_rank(rows) -> int:
     return sum(span.add([row]) for row in rows)
 
 
-def _norton(gens: Sequence[ExactMatrix], images: list, n: int) -> bool:
-    """True only if Norton's criterion (Parker 1984) certifies irreducibility;
-    False gives no verdict.  ``images`` are the generators' images mod P that
-    exist.
+def _spins(vec, gens: Sequence[ExactMatrix], n: int) -> bool:
+    """True iff vec spins to the whole n-space under gens.  Rank n mod P
+    under the generators' images that exist decides at once; otherwise the
+    exact spin decides."""
+    images = [image for image in map(_mod_image, gens) if image is not None]
+    if _spins_mod_p(vec, images, n):
+        return True
+    span = VectorSpan(n)
+    return len(_walk([vec], gens, lambda g, u: g.apply(u), span.add, n)) == n
+
+
+def _norton(gens: Sequence[ExactMatrix], n: int) -> bool | None:
+    """Norton's criterion (Parker 1984; Holt & Rees 1994): True if the
+    generators act irreducibly, False if they keep a proper subspace, None
+    (no verdict) when no generator has an element of nullity 1 at hand.
 
     Take x = g - theta*I for a generator g and a root theta of its minimal
     polynomial, with rank n - 1 mod P, hence rank n - 1 exactly: ker x is one
-    line <v> and ker x^T one line <w>.  If v spins to V under the generators
-    and w to V* under their transposes, no proper submodule U exists, over C
-    either: ker x meeting U would put v in U, and x injective on U would put
-    w in the annihilator of U.  So the module is absolutely irreducible, and
-    by Burnside the algebra is all of M_n.
+    line <v> and ker x^T one line <w>.  A spin of v short of V is a proper
+    submodule, and a spin of w short of V* annihilates one; either proves the
+    module reducible.  If v spins to V under the generators and w to V*
+    under their transposes, no proper submodule U exists, over C either:
+    ker x meeting U would put v in U, and x injective on U would put w in
+    the annihilator of U.  So the module is absolutely irreducible, and by
+    Burnside the algebra is all of M_n.
     """
     for g in gens:
         for theta in rational_roots(minimal_polynomial(g)).roots:
@@ -101,18 +115,19 @@ def _norton(gens: Sequence[ExactMatrix], images: list, n: int) -> bool:
                 continue
             (v,) = kernel_basis(x)
             (w,) = kernel_basis(x.transpose())
-            transposes = [list(zip(*image)) for image in images]
-            return _spins_mod_p(v, images, n) and _spins_mod_p(w, transposes, n)
-    return False
+            return _spins(v, gens, n) and _spins(w, [h.transpose() for h in gens], n)
+    return None
 
 
 def is_full_matrix_algebra(gens: Sequence[ExactMatrix]) -> bool:
     """True iff the generators generate the whole n x n matrix algebra.
 
-    Norton's test (``_norton``), two spins of n vectors mod P, runs first
-    and can only answer True.  When it gives no verdict, ``algebra_closure``
-    decides, so every False is exact.
+    Norton's test (``_norton``) runs first: two spins of one vector each,
+    mod P where that reaches rank n and exactly otherwise.  It decides
+    whenever some g - theta*I (theta a root of a generator g's minimal
+    polynomial) has rank n - 1 mod P, so nullity 1; only when none has does
+    ``algebra_closure`` decide.  Every verdict is exact.
     """
     n = _size(gens)
-    images = [image for image in map(_mod_image, gens) if image is not None]
-    return _norton(gens, images, n) or algebra_closure(gens).dim == n * n
+    verdict = _norton(gens, n)
+    return algebra_closure(gens).dim == n * n if verdict is None else verdict

@@ -290,6 +290,18 @@ def test_suite_symbolic_and_half_targets_pass(capsys):
     assert {check["target"] for check in report["checks"]} == set(targets)
 
 
+def test_lemma6_suite_at_the_d_cap_with_a_reducible_draw(capsys):
+    """Seed 2 draws a reducible R_32 that Norton's exact spin decides; the
+    exact closure of its 33 x 33 generators would not finish in minutes."""
+    status, out = _run(
+        capsys, "suite", "--targets", "lemma6_suite", "--samples", "2", "--d", "32..32", "--seed", "2"
+    )
+    assert status == 0
+    report = json.loads(out)
+    assert report["ok"] is True and report["checks"]
+    assert all(check["pass"] for check in report["checks"])
+
+
 def test_suite_unknown_target(capsys):
     status = main(["suite", "--targets", "not_a_target"])
     assert status == 2

@@ -4,13 +4,14 @@ eigen splitting and Gaussian-rational root search."""
 import operator
 import random
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from racahlab.errors import DimensionMismatch, NonSplitting, RootsMismatch
-from racahlab.gaussian import ONE, GaussianRational, I, gr
+from racahlab.gaussian import ONE, GaussianRational, I, _make, gr
 from racahlab import matrix as matrix_module
 from racahlab.matrix import (
     _P,
@@ -25,7 +26,6 @@ from racahlab.matrix import (
     _flattened,
     _lifting_prime,
     _mod_degree_bound,
-    _scalar_maker,
     _squarefree_mod_p,
     _vector_ints,
     eigen_split,
@@ -938,8 +938,7 @@ class _RealifiedSpan:
         found = []
         for piv, row in zip(self._echelon.pivots, self._echelon.reduced()):
             if piv % 2 == 0:
-                wrap = _scalar_maker(row[piv])
-                found.append((piv // 2, tuple(map(wrap, row[::2], row[1::2]))))
+                found.append((piv // 2, tuple(map(_make, row[::2], row[1::2], repeat(row[piv])))))
         found.sort(key=lambda pair: pair[0])
         return [piv for piv, _row in found], [row for _piv, row in found]
 

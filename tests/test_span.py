@@ -188,16 +188,33 @@ def _count_exact_closures(monkeypatch):
     return calls
 
 
+def _count_short_mod_p_spins(monkeypatch):
+    """The spins mod P that fell short of rank n, so that the exact spin ran."""
+    short = []
+    spins_mod_p = span_module._spins_mod_p
+
+    def spy(vec, images, n):
+        full = spins_mod_p(vec, images, n)
+        if not full:
+            short.append(vec)
+        return full
+
+    monkeypatch.setattr(span_module, "_spins_mod_p", spy)
+    return short
+
+
 # Each planted entry vanishes mod P, so the images generate only I and F
-# (dimension 2) while the exact closure is all of M_2 (dimension 4).
+# (dimension 2) while the exact algebra is all of M_2 (dimension 4): the
+# spins mod P fall short, and the exact spins decide.
 @pytest.mark.parametrize("entry", [_P, _S - I], ids=["P", "S-i"])
 def test_entry_vanishing_mod_p_falls_back_to_exact(entry, monkeypatch):
     e = ExactMatrix.from_rows([[0, entry], [0, 0]])
     f = ExactMatrix.from_rows([[0, 0], [1, 0]])
     assert _mod_image(e) == [[0, 0], [0, 0]]
     calls = _count_exact_closures(monkeypatch)
+    short = _count_short_mod_p_spins(monkeypatch)
     assert is_full_matrix_algebra([e, f])
-    assert len(calls) == 1 and algebra_closure([e, f]).dim == 4
+    assert len(short) == 2 and calls == [] and algebra_closure([e, f]).dim == 4
 
 
 def test_p_in_a_denominator_falls_back_to_exact(monkeypatch):
@@ -205,16 +222,19 @@ def test_p_in_a_denominator_falls_back_to_exact(monkeypatch):
     f = ExactMatrix.from_rows([[0, 0], [1, 0]])
     assert _mod_image(e) is None
     calls = _count_exact_closures(monkeypatch)
+    short = _count_short_mod_p_spins(monkeypatch)
     assert is_full_matrix_algebra([e, f])
-    assert len(calls) == 1
+    assert len(short) == 2 and calls == []
 
 
 def test_full_rank_mod_p_needs_no_exact_closure(monkeypatch):
+    """H alone has one-line eigenspaces, so the exact spin of one proves the
+    set reducible without the closure."""
     calls = _count_exact_closures(monkeypatch)
     rep = build_Ln(3)
     assert is_full_matrix_algebra([rep.E, rep.F, rep.H])
     assert not is_full_matrix_algebra([rep.H])
-    assert len(calls) == 1
+    assert calls == []
 
 
 # -- Norton's test against the closure ---------------------------------------------
@@ -256,25 +276,22 @@ def _rd_draws(rng):
         yield [rep.A, rep.B, rep.C]
 
 
-def _certified_by_norton(gens):
-    images = [image for image in map(_mod_image, gens) if image is not None]
-    return _norton(gens, images, gens[0].rows)
+def _norton_verdict(gens):
+    return _norton(gens, gens[0].rows)
 
 
 def test_norton_agrees_with_closure():
     rng = random.Random(11)
-    certified = fallbacks = 0
+    verdicts = {True: 0, False: 0, None: 0}
     for gens in [*_seeded_modules(rng), *_rd_draws(rng)]:
         n = gens[0].rows
         full = algebra_closure(gens).dim == n * n
-        if _certified_by_norton(gens):
-            assert full
-            certified += 1
-        else:
-            fallbacks += 1
+        verdict = _norton_verdict(gens)
+        assert verdict is None or verdict == full
+        verdicts[verdict] += 1
         assert is_full_matrix_algebra(gens) == full
-    # both the certificate and the fallback run often
-    assert certified >= 40 and fallbacks >= 40
+    # both verdicts are reached often, and no R_d draw needs the closure
+    assert verdicts[True] >= 40 and verdicts[False] >= 40
 
 
 def test_no_one_dimensional_eigenspace_reaches_the_fallback(monkeypatch):
@@ -286,8 +303,72 @@ def test_no_one_dimensional_eigenspace_reaches_the_fallback(monkeypatch):
     companion = ExactMatrix.from_rows([[0, 0, 0, 2], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     # x^2 - 2 twice on the diagonal: it keeps the eigenspaces of `doubled`
     halves = ExactMatrix.from_rows([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]])
-    assert not _certified_by_norton([doubled, companion])
+    assert _norton_verdict([doubled, companion]) is None
     assert is_full_matrix_algebra([doubled, companion])
-    assert not _certified_by_norton([doubled, halves])
+    assert _norton_verdict([doubled, halves]) is None
     assert not is_full_matrix_algebra([doubled, halves])
     assert len(calls) == 2
+
+
+# -- Norton's verdicts against the closure, by hypothesis -----------------------
+
+_box = st.builds(
+    lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)),
+    st.integers(-3, 3),
+    st.integers(-1, 1),
+    st.integers(1, 3),
+)
+
+
+@st.composite
+def _rd_at_a_forbidden_form(draw):
+    """R_d (d <= 5) with one of the four linear forms at a forbidden
+    half-integer d/2 - k, solved for a: a reducible module."""
+    d = draw(st.integers(1, 5))
+    b, c = draw(_box), draw(_box)
+    h = GaussianRational(Fraction(d, 2) - draw(st.integers(1, d)))
+    a = draw(st.sampled_from([h - b - c - 1, b + c - h, h + b - c, h - b + c]))
+    rep = rd.construct(rd.RdParams(a, b, c, d))
+    return [rep.A, rep.B, rep.C]
+
+
+@st.composite
+def _scalar_generators(draw):
+    """Scalar generators: no element of nullity 1 when n > 1."""
+    n = draw(st.integers(2, 4))
+    return [ExactMatrix.scalar_matrix(n, draw(_scalars)) for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        _maybe_reducible_sets().map(lambda gens: ("module", gens)),
+        _rd_at_a_forbidden_form().map(lambda gens: ("rd", gens)),
+        _scalar_generators().map(lambda gens: ("scalar", gens)),
+    )
+)
+def test_norton_verdicts_match_closure(case):
+    kind, gens = case
+    n = gens[0].rows
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(span_module, "algebra_closure", lambda g: calls.append(g) or algebra_closure(g))
+        full = is_full_matrix_algebra(gens)
+    assert full == (algebra_closure(gens).dim == n * n)
+    if kind == "rd":
+        assert not full and calls == []
+    if kind == "scalar":
+        assert not full and len(calls) == 1
+
+
+def test_reducible_r6_never_runs_the_closure(monkeypatch):
+    params = rd.RdParams(GaussianRational(Fraction(-1, 3), -1), GaussianRational(Fraction(1, 3), 1),
+                         GaussianRational(-2), 6)
+    assert "a+b-c" in rd.is_irreducible(params).hits
+    rep = rd.construct(params)
+
+    def exact_closure(gens):
+        raise AssertionError("the exact closure ran")
+
+    monkeypatch.setattr(span_module, "algebra_closure", exact_closure)
+    assert not rd.burnside_irreducible(rep)
