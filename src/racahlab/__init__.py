@@ -37,7 +37,6 @@ from .racah import (
     casimirs,
     central_values,
     load_rep,
-    save_rep,
     sigma_twist,
     tau_twist,
     verify_presentation,
@@ -68,6 +67,6 @@ from .decompose import (
     sl2_isotypic,
     split_even_half,
 )
-from .leonard import LeonardReport, check, check_pair, tridiagonalize
+from .leonard import LeonardReport, check
 
 __version__ = "0.1.0"

@@ -108,6 +108,15 @@ def sample_params(rng: random.Random, d: int) -> rd.RdParams:
     return rd.RdParams(scalar(), scalar(), scalar(), d)
 
 
+def _samples(cfg: SuiteConfig, offset: int):
+    """The (k, params) draws of a sampled target: --samples draws seeded by
+    --seed + offset, with d cycling through the --d range."""
+    rng = random.Random(cfg.seed + offset)
+    lo, hi = cfg.d_range
+    for k in range(cfg.samples):
+        yield k, sample_params(rng, lo + k % (hi - lo + 1))
+
+
 # -- suite targets ------------------------------------------------------------
 
 
@@ -134,12 +143,8 @@ def _run_sec3(cfg: SuiteConfig) -> list[dict]:
 
 
 def _run_prop2_4(cfg: SuiteConfig) -> list[dict]:
-    rng = random.Random(cfg.seed)
     out = []
-    lo, hi = cfg.d_range
-    for k in range(cfg.samples):
-        d = lo + (k % (hi - lo + 1))
-        params = sample_params(rng, d)
+    for k, params in _samples(cfg, 0):
         rep = rd.construct(params)
         report = verify_presentation(rep)
         out.append(
@@ -164,20 +169,11 @@ def _run_prop2_4(cfg: SuiteConfig) -> list[dict]:
 
 
 def _run_lemma6(cfg: SuiteConfig) -> list[dict]:
-    rng = random.Random(cfg.seed + 1)
     out = []
-    lo, hi = cfg.d_range
-    for k in range(cfg.samples):
-        d = lo + (k % (hi - lo + 1))
-        params = sample_params(rng, d)
+    for k, params in _samples(cfg, 1):
         rep = rd.construct(params)
-        n = d + 1
-        expected = [
-            (params.a * (params.a + 1) + Fraction(d * (d + 2), 12)) * n,
-            (params.b * (params.b + 1) + Fraction(d * (d + 2), 12)) * n,
-            (params.c * (params.c + 1) + Fraction(d * (d + 2), 12)) * n,
-        ]
-        traces_ok = [rep.A.trace(), rep.B.trace(), rep.C.trace()] == expected
+        traces = (rep.A.trace(), rep.B.trace(), rep.C.trace())
+        traces_ok = rd.iso_class_from_traces(params.d, *traces) == rd.iso_class_of(params)
         out.append(_ok("lemma6_suite", f"sample {k}: trace closed forms", traces_ok))
         witness = rd.is_irreducible(params)
         burnside = rd.burnside_irreducible(rep)
@@ -194,7 +190,7 @@ def _run_lemma6(cfg: SuiteConfig) -> list[dict]:
             polys = rd.min_polys(params)
             gcd_flags = [p.is_squarefree for p in polys]
             window_flags = [
-                rd.parameter_diagonalizable(v, d)
+                rd.parameter_diagonalizable(v, params.d)
                 for v in (params.a, params.b, params.c)
             ]
             out.append(
@@ -208,12 +204,8 @@ def _run_lemma6(cfg: SuiteConfig) -> list[dict]:
 
 
 def _run_thm6_9(cfg: SuiteConfig) -> list[dict]:
-    rng = random.Random(cfg.seed + 2)
     out = []
-    lo, hi = cfg.d_range
-    for k in range(cfg.samples):
-        d = lo + (k % (hi - lo + 1))
-        params = sample_params(rng, d)
+    for k, params in _samples(cfg, 2):
         witness = rd.is_irreducible(params)
         if not witness:
             out.append(

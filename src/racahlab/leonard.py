@@ -38,14 +38,6 @@ class LeonardReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class TridiagonalizationResult:
-    ok: bool
-    ordering: tuple[int, ...] | None
-    matrix: ExactMatrix | None
-    reason: str | None
-
-
 def _path_order(n: int, edges: set[frozenset[int]]) -> tuple[list[list[int]], str | None]:
     """Order the vertices of a union-of-paths graph; or explain why not."""
     adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
@@ -78,7 +70,6 @@ def _path_order(n: int, edges: set[frozenset[int]]) -> tuple[list[list[int]], st
         components.append(chain)
     if len(seen) != n:
         return [], "support graph contains a cycle"
-    components.sort(key=lambda ch: ch[0])
     return components, None
 
 
@@ -188,11 +179,11 @@ def _condition(
     )
 
 
-def _normalize_hints(hints, count: int):
+def _normalize_hints(hints):
     if hints is None:
-        return [None] * count
-    if len(hints) != count:
-        raise ValueError(f"expected {count} hint lists")
+        return [None] * 3
+    if len(hints) != 3:
+        raise ValueError("expected 3 hint lists")
     return [list(h) if h is not None else None for h in hints]
 
 
@@ -216,57 +207,9 @@ def check(
     for m in ops:
         if not m.is_square or m.rows != n:
             raise DimensionMismatch("operators must be square and equally sized")
-    hint_lists = _normalize_hints(hints, 3)
+    hint_lists = _normalize_hints(hints)
     conditions = []
     for k in range(3):
         others = [ops[(k + 1) % 3], ops[(k + 2) % 3]]
         conditions.append(_condition(k, ops[k], others, hint_lists[k]))
     return LeonardReport(n, tuple(conditions), all(c.passed for c in conditions))
-
-
-def check_pair(
-    first: ExactMatrix,
-    second: ExactMatrix,
-    hints: Sequence[Sequence] | None = None,
-) -> LeonardReport:
-    """Diagnostic mode: the two diagonalization conditions for a pair."""
-    n = first.rows
-    for m in (first, second):
-        if not m.is_square or m.rows != n:
-            raise DimensionMismatch("operators must be square and equally sized")
-    hint_lists = _normalize_hints(hints, 2)
-    conditions = (
-        _condition(0, first, [second], hint_lists[0]),
-        _condition(1, second, [first], hint_lists[1]),
-    )
-    return LeonardReport(n, conditions, all(c.passed for c in conditions))
-
-
-def tridiagonalize(
-    diag_op: ExactMatrix,
-    target: ExactMatrix,
-    hints: Sequence | None = None,
-) -> TridiagonalizationResult:
-    """Order the eigenbasis of diag_op so that target becomes tridiagonal.
-
-    Unlike the full check, component chains may be concatenated: the result
-    need not be irreducible tridiagonal.  Fails with a certificate when the
-    support graph is not a union of paths.
-    """
-    n = diag_op.rows
-    values, transformed, diagonalizable, simple = _conjugate_into_eigenbasis(
-        diag_op, [target], hints
-    )
-    if not diagonalizable or not simple:
-        reason = "not diagonalizable" if not diagonalizable else "eigenspace of dimension > 1"
-        return TridiagonalizationResult(False, None, None, reason)
-    if n == 1:
-        return TridiagonalizationResult(True, (0,), transformed[0], None)
-    edges = _support_edges(transformed)
-    components, problem = _path_order(n, edges)
-    if problem is not None:
-        return TridiagonalizationResult(False, None, None, problem)
-    order = [v for chain in components for v in chain]
-    return TridiagonalizationResult(
-        True, tuple(order), _permute(transformed[0], order), None
-    )

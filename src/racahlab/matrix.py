@@ -551,10 +551,6 @@ _P = 2147483629  # the largest prime below 2^31 that is 1 mod 4
 _S = 629208553
 
 
-def _identity_rows(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def _mod_ints(den: int, re_part: Sequence[int], im_part: Sequence[int] | None) -> list[int] | None:
     """(re_part + i*im_part) / den mod P under i -> S, or None when P divides den."""
     if den % _P == 0:
@@ -598,26 +594,16 @@ class _ModSpan:
         return False
 
 
-def _mod_degree_bound(matrix: ExactMatrix) -> int:
-    """The least k with matrix^k dependent on the lower powers mod P (0 without
-    an image), a lower bound on the degree of the minimal polynomial."""
-    image = _mod_image(matrix)
-    if image is None:
-        return 0
-    # the words kept are the powers below the first dependent one
-    n = matrix.rows
-    return len(_walk([_identity_rows(n), image], [image], _mod_matmul, _ModSpan().add, n * n))
-
-
-def _spins_mod_p(vec, images, n: int) -> bool:
-    """True only if the vector spins to rank n mod P under the images.  The
-    spin of its image mod P is the image of the exact spin's words, so rank n
-    mod P is rank n exactly; False gives no verdict."""
+def _spin_rank_mod_p(vec, gens: Sequence[ExactMatrix]) -> int:
+    """The rank mod P of the spin of vec under the images of the generators
+    that have one (0 when vec has no image).  The spin mod P is the image of
+    words of the exact spin, so its rank is a lower bound on the exact spin's
+    rank."""
     seed = _mod_ints(*_vector_ints(vec))
     if seed is None:
-        return False
-    column = [[x] for x in seed]
-    return len(_walk([column], images, _mod_matmul, _ModSpan().add, n)) == n
+        return 0
+    images = [image for image in map(_mod_image, gens) if image is not None]
+    return len(_walk([[[x] for x in seed]], images, _mod_matmul, _ModSpan().add, len(vec)))
 
 
 def _span_of_rows(pairs: Iterable, length: int) -> VectorSpan:
@@ -636,16 +622,6 @@ def _matrix_rows(m: ExactMatrix, scale: int = 1):
     """The rows of scale * m.den * m as (real row, imaginary row) integer pairs."""
     im_rows = m.im or ((0,) * m.cols,) * m.rows
     return zip(_int_scale(m.re, scale), _int_scale(im_rows, scale))
-
-
-def _flattened(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    """The matrix whose k-th row is mats[k] flattened row by row."""
-    den = lcm(*(m.den for m in mats))
-
-    def flat(m, rows):
-        return [den // m.den * x for row in rows or ((0,) * m.cols,) * m.rows for x in row]
-
-    return _from_ints(den, [flat(m, m.re) for m in mats], [flat(m, m.im) for m in mats])
 
 
 def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, int]:
@@ -719,57 +695,63 @@ class Subspace:
 # -- minimal polynomial and eigenspaces ------------------------------------
 
 
-def _cyclic_minimal_polynomial(matrix: ExactMatrix) -> Poly | None:
-    """The minimal polynomial of e_0 or e_{n-1} under the matrix, if that
-    vector spins to rank n mod P; None otherwise."""
+def _vector_minimal_polynomial(matrix: ExactMatrix, vec: Vector, low: int) -> Poly:
+    """The monic least-degree p with p(matrix) vec = 0, for a nonzero vec
+    whose p has degree at least low >= 1: one exact solve for M^low vec in
+    vec, ..., M^(low-1) vec, and one more power after each inconsistent one."""
     n = matrix.rows
-    image = _mod_image(matrix)
-    if image is None:
-        return None
-    for j in dict.fromkeys((0, n - 1)):
-        krylov = [tuple(ONE if i == j else ZERO for i in range(n))]
-        if _spins_mod_p(krylov[0], [image], n):
-            for _ in range(n):
-                krylov.append(matrix.apply(krylov[-1]))
-            basis = ExactMatrix.from_rows(list(zip(*krylov[:n])))
-            sol = solve_columns(basis, ExactMatrix(n, 1, krylov[n]))
+    krylov = [vec]
+    for _ in range(low):
+        krylov.append(matrix.apply(krylov[-1]))
+    while True:
+        basis = ExactMatrix.from_rows(list(zip(*krylov[:-1])))
+        sol = solve_columns(basis, ExactMatrix(n, 1, krylov[-1]))
+        if sol is not None:
             return Poly([*(-x for x in sol.entries), ONE])
-    return None
+        krylov.append(matrix.apply(krylov[-1]))
 
 
 @lru_cache(maxsize=64)
 def minimal_polynomial(matrix: ExactMatrix) -> Poly:
     """Monic least-degree annihilating polynomial.
 
-    Cyclic route: if e (e_0, then e_{n-1}) and its images e, Me, ...,
-    M^{n-1}e have rank n mod P, they are independent exactly, so the
-    minimal polynomial of e has degree n and, dividing that of M, equals it;
-    one n x n ``solve_columns`` gives its coefficients.  Otherwise, Krylov
-    span saturation over the flattened powers: they are independent mod P
-    below the first power k that is not, hence independent exactly, so the
-    degree is at least k and the exact search solves for the powers from k
-    on: one ``solve_columns`` when P reads the degree right, more only after
-    an unlucky P.  Memoized on the (immutable) matrix, so ``rd.min_polys``
-    and the Leonard check of one module share each generator's computation.
+    It is the lcm of the minimal polynomials of the basis vectors
+    (Keller-Gehrig 1985).  With m that lcm over the vectors so far, the
+    minimal polynomial of w = m(M)e is q / gcd(q, m), q that of e, so
+    m * minpoly(w) = lcm(m, q) without a gcd; the search stops when the
+    degree reaches n.  The rank that a vector spins to mod P is a lower
+    bound on its degree (Krylov vectors independent mod P are independent
+    exactly), and its exact solves start there.  e_0 and e_{n-1} come
+    first, the one that spins further mod P (e_0 on a tie) before the other:
+    one of them is cyclic for a bidiagonal generator.  Memoized on the
+    (immutable) matrix, so ``rd.min_polys`` and the Leonard check of one
+    module share each generator's computation.
     """
     if not matrix.is_square:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
-    cyclic = _cyclic_minimal_polynomial(matrix)
-    if cyclic is not None:
-        return cyclic
     n = matrix.rows
-    low = _mod_degree_bound(matrix)
-    powers = [ExactMatrix.identity(n)]
-    for k in range(n + 1):
-        target_matrix = powers[-1] * matrix
-        if k + 1 >= low:
-            sol = solve_columns(
-                _flattened(powers).transpose(), _flattened([target_matrix]).transpose()
-            )
-            if sol is not None:
-                return Poly([*(-sol.entry(j, 0) for j in range(k + 1)), ONE])
-        powers.append(target_matrix)
-    raise RuntimeError("minimal polynomial search did not terminate")
+
+    def with_bound(vec):
+        return vec, max(1, _spin_rank_mod_p(vec, [matrix]))
+
+    def unit(j):
+        return tuple(ONE if i == j else ZERO for i in range(n))
+
+    start = with_bound(unit(0))
+    if start[1] < n:
+        start = max(start, with_bound(unit(n - 1)), key=lambda pair: pair[1])
+    m = _vector_minimal_polynomial(matrix, *start)
+    for j in dict.fromkeys((0, n - 1, *range(n))):
+        if m.degree == n:
+            break
+        w = list(unit(j))
+        for c in reversed(m.coeffs[:-1]):
+            # Horner on the monic m: w = M w + c e_j
+            w = list(matrix.apply(w))
+            w[j] += c
+        if any(w):
+            m = _vector_minimal_polynomial(matrix, *with_bound(tuple(w))) * m
+    return m
 
 
 @dataclass(frozen=True)

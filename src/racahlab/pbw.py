@@ -289,6 +289,19 @@ SHARP_NAMES = (
 )
 
 
+def omega(k: int, gens, centrals, d, delta):
+    """Omega_X for X the k-th of (A, B, C), in any ring whose elements take
+    ``*``, ``+``, ``-`` and a ``Fraction`` factor: with (x, y, z) the
+    generators ``gens`` rotated to start at X and c_y, c_z the central
+    elements ``centrals`` (alpha, beta, gamma) of y and z,
+
+        Omega_X = d^2 + (y x z + z x y) / 2 + x^2 + y c_z - z c_y - x delta.
+    """
+    x, y, z = (gens[(k + j) % 3] for j in range(3))
+    c_y, c_z = centrals[(k + 1) % 3], centrals[(k + 2) % 3]
+    return d * d + (y * x * z + z * x * y) * Fraction(1, 2) + x * x + y * c_z - z * c_y - x * delta
+
+
 @lru_cache(maxsize=None)
 def sharp(name: str) -> PBWElement:
     """Image of a Racah-presentation element under the homomorphism.
@@ -311,16 +324,10 @@ def sharp(name: str) -> PBWElement:
         return PBWElement.zero()
     if name == "delta":
         return (casimir() - PBWElement.scalar(6)) / 8
-    a, b, c = sharp("A"), sharp("B"), sharp("C")
-    d = sharp("Delta")
-    al, be, ga = sharp("alpha"), sharp("beta"), sharp("gamma")
-    de = sharp("delta")
-    if name == "Omega_A":
-        return d * d + (b * a * c + c * a * b) / 2 + a * a + b * ga - c * be - a * de
-    if name == "Omega_B":
-        return d * d + (c * b * a + a * b * c) / 2 + b * b + c * al - a * ga - b * de
-    if name == "Omega_C":
-        return d * d + (a * c * b + b * c * a) / 2 + c * c + a * be - b * al - c * de
+    if name in ("Omega_A", "Omega_B", "Omega_C"):
+        gens = tuple(map(sharp, ("A", "B", "C")))
+        centrals = tuple(map(sharp, ("alpha", "beta", "gamma")))
+        return omega("ABC".index(name[-1]), gens, centrals, sharp("Delta"), sharp("delta"))
     raise ValueError(f"unknown element name: {name!r}")
 
 
@@ -555,37 +562,6 @@ def verify_even_identities() -> list[CheckResult]:
         ("[H^2,F^2] = -8(H+2)F^2", commutator(h2, f2) + (H + one * 2) * f2 * 8),
     ]
     return [CheckResult.from_residual(name, res) for name, res in checks]
-
-
-# -- text exchange format -----------------------------------------------------
-
-
-def pbw_to_text(x: PBWElement) -> str:
-    """One line per term: ``e f h re_num/re_den im_num/im_den``."""
-    lines = []
-    for (e, f, h) in sorted(x.terms):
-        c = x.terms[(e, f, h)]
-        lines.append(
-            f"{e} {f} {h} "
-            f"{c.re.numerator}/{c.re.denominator} "
-            f"{c.im.numerator}/{c.im.denominator}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def pbw_from_text(text: str) -> PBWElement:
-    terms: dict[Triple, GaussianRational] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        e_tok, f_tok, h_tok, re_tok, im_tok = line.split()
-        key = (int(e_tok), int(f_tok), int(h_tok))
-        value = GaussianRational(Fraction(re_tok), Fraction(im_tok))
-        if key in terms:
-            raise ValueError(f"duplicate monomial {key} in element text")
-        terms[key] = value
-    return PBWElement(terms)
 
 
 # -- membership in the even-subalgebra spanning family -------------------------

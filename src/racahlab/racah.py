@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import DimensionMismatch, RelationFailure
 from .gaussian import GaussianRational
 from .matrix import ExactMatrix
-from .pbw import CheckResult
+from .pbw import CheckResult, omega
 
 
 @dataclass(frozen=True)
@@ -155,10 +154,6 @@ def _verify(rep: RacahRep) -> tuple[PresentationReport, CentralValues]:
     return PresentationReport(tuple(checks), all(c.passed for c in checks)), central
 
 
-def presentation_checks(rep: RacahRep) -> list[CheckResult]:
-    return list(verify_presentation(rep).checks)
-
-
 def verify_presentation(rep: RacahRep) -> PresentationReport:
     """Check the defining relations; exact, no tolerances."""
     return (rep.carried or _verify(rep))[0]
@@ -191,18 +186,14 @@ def casimirs(rep: RacahRep) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     """
     rep = ensure_verified(rep)
     central = central_values(rep)
-    a, b, c, d = rep.A, rep.B, rep.C, rep.Delta
-    al, be, ga, de = central.alpha, central.beta, central.gamma, central.delta
-    d2 = d * d
-    half = GaussianRational(Fraction(1, 2))
-    omega_a = d2 + (b * a * c + c * a * b) * half + a * a + b * ga - c * be - a * de
-    omega_b = d2 + (c * b * a + a * b * c) * half + b * b + c * al - a * ga - b * de
-    omega_c = d2 + (a * c * b + b * c * a) * half + c * c + a * be - b * al - c * de
-    for name, omega in (("Omega_A", omega_a), ("Omega_B", omega_b), ("Omega_C", omega_c)):
+    gens = (rep.A, rep.B, rep.C)
+    centrals = (central.alpha, central.beta, central.gamma)
+    omegas = tuple(omega(k, gens, centrals, rep.Delta, central.delta) for k in range(3))
+    for name, value in zip(("Omega_A", "Omega_B", "Omega_C"), omegas):
         for op_name, op in rep.operators().items():
-            if not (omega * op - op * omega).is_zero():
+            if not (value * op - op * value).is_zero():
                 raise RelationFailure(f"{name} does not commute with {op_name}")
-    return omega_a, omega_b, omega_c
+    return omegas
 
 
 def verify_section6_relations(rep: RacahRep) -> PresentationReport:
@@ -292,10 +283,6 @@ def rep_from_text(text: str) -> RacahRep:
         raise ValueError(f"missing blocks: {missing}")
     dim = blocks["A"].rows
     return RacahRep(dim, blocks["A"], blocks["B"], blocks["C"], blocks["Delta"])
-
-
-def save_rep(rep: RacahRep, path) -> None:
-    Path(path).write_text(rep_to_text(rep))
 
 
 def load_rep(path) -> RacahRep:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatch
-from .matrix import ExactMatrix, VectorSpan, _from_ints, _gauss_int_matmul, _identity_rows, _walk
-from .matrix import _ModSpan, _mod_image, _spins_mod_p
+from .matrix import ExactMatrix, VectorSpan, _from_ints, _gauss_int_matmul, _walk
+from .matrix import _ModSpan, _mod_image, _spin_rank_mod_p
 from .matrix import kernel_basis, minimal_polynomial, rational_roots
 
 
@@ -67,7 +67,7 @@ def algebra_closure(gens: Sequence[ExactMatrix]) -> ClosureResult:
     scaled = [(g.re, g.im) for g in gens]
     span = VectorSpan(n * n)
     basis = _walk(
-        [(_identity_rows(n), None), *scaled],
+        [([[int(i == j) for j in range(n)] for i in range(n)], None), *scaled],
         scaled,
         lambda g, w: _gauss_int_matmul(g, w, n),
         lambda c: span.add_int(*map(_flatten, c)),
@@ -83,10 +83,8 @@ def _mod_rank(rows) -> int:
 
 def _spins(vec, gens: Sequence[ExactMatrix], n: int) -> bool:
     """True iff vec spins to the whole n-space under gens.  Rank n mod P
-    under the generators' images that exist decides at once; otherwise the
-    exact spin decides."""
-    images = [image for image in map(_mod_image, gens) if image is not None]
-    if _spins_mod_p(vec, images, n):
+    decides at once; otherwise the exact spin decides."""
+    if _spin_rank_mod_p(vec, gens) == n:
         return True
     span = VectorSpan(n)
     return len(_walk([vec], gens, lambda g, u: g.apply(u), span.add, n)) == n

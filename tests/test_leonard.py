@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from racahlab.errors import NonSplitting, RootsMismatch
-from racahlab.leonard import check, check_pair, tridiagonalize
+from racahlab.leonard import check
 from racahlab.matrix import ExactMatrix
 from racahlab.rd import RdParams, construct, theta_eps_list, theta_list, theta_star_list
 
@@ -71,31 +71,6 @@ def test_verdict_invariant_under_conjugation():
         assert check(*conjugated).passed
 
 
-def test_tridiagonalize_identity_order():
-    d = ExactMatrix.diagonal([1, 2, 3])
-    m = ExactMatrix.from_rows([[1, 1, 0], [1, 2, 1], [0, 1, 3]])
-    result = tridiagonalize(d, m)
-    assert result.ok and result.ordering == (0, 1, 2)
-
-
-def test_tridiagonalize_relabels_path():
-    d = ExactMatrix.diagonal([1, 2, 3])
-    m = ExactMatrix.from_rows([[1, 0, 1], [0, 2, 0], [1, 0, 3]])
-    result = tridiagonalize(d, m)
-    assert result.ok and result.ordering == (0, 2, 1)
-    assert result.matrix.entry(0, 1) and not result.matrix.entry(0, 2)
-
-
-def test_tridiagonalize_detects_branching():
-    d = ExactMatrix.diagonal([1, 2, 3, 4])
-    star = ExactMatrix.from_rows(
-        [[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]
-    )
-    result = tridiagonalize(d, star)
-    assert not result.ok
-    assert "degree" in result.reason
-
-
 def test_eigenbasis_ordering_matches_diagonal_sequence():
     params = RdParams(Q, Q, Q, 1)
     a, b, c = _triple(params)
@@ -123,13 +98,7 @@ def test_non_splitting_needs_hints():
     m = ExactMatrix.from_rows([[0, 1], [2, 0]])
     other = ExactMatrix.diagonal([1, 2])
     with pytest.raises(NonSplitting):
-        check_pair(m, other)
-
-
-def test_pair_mode():
-    rep = construct(RdParams(Q, Q, Q, 1))
-    assert check_pair(rep.A, rep.B).passed
-    assert check_pair(rep.B, rep.C).passed
+        check(m, other, other)
 
 
 def test_hinted_check_agrees_with_generic():

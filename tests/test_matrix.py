@@ -22,10 +22,8 @@ from racahlab.matrix import (
     Subspace,
     VectorSpan,
     _IntEchelon,
-    _cyclic_minimal_polynomial,
-    _flattened,
     _lifting_prime,
-    _mod_degree_bound,
+    _spin_rank_mod_p,
     _squarefree_mod_p,
     _vector_ints,
     eigen_split,
@@ -227,50 +225,58 @@ class TestMinimalPolynomial:
 # -- the minimal polynomial against the step-by-step exact search --------------
 
 
+def _flat_columns(mats):
+    """The matrix whose k-th column is mats[k] flattened row by row."""
+    return ExactMatrix.from_rows(list(zip(*(m.entries for m in mats))))
+
+
 def _stepwise_minimal_polynomial(matrix):
-    """The exact Krylov search from degree 1 on: one solve per degree."""
+    """The exact search over the flattened powers from degree 1 on: one solve per degree."""
     powers = [ExactMatrix.identity(matrix.rows)]
     for k in range(matrix.rows + 1):
         target = powers[-1] * matrix
-        sol = solve_columns(_flattened(powers).transpose(), _flattened([target]).transpose())
+        sol = solve_columns(_flat_columns(powers), _flat_columns([target]))
         if sol is not None:
             return Poly([*(-sol.entry(j, 0) for j in range(k + 1)), ONE])
         powers.append(target)
     raise AssertionError("no annihilating polynomial of degree <= n")
 
 
+def _unit(n, j):
+    return tuple(ONE if i == j else gr(0) for i in range(n))
+
+
+# Entries that P reads as 0, or that put P in a denominator.
+_PLANTED = [gr(_P), _S - I, gr(Fraction(1, _P))]
+
+
 @st.composite
 def _krylov_matrices(draw):
-    """n <= 5: dense, a product of low rank, or a triangular matrix with
-    repeated eigenvalues, conjugated by a unit lower triangular one."""
+    """(m, planted) with n <= 5: m dense, a product of low rank, or a
+    triangular matrix with repeated eigenvalues conjugated by a unit lower
+    triangular one (derogatory where a repeated eigenvalue keeps more than one
+    Jordan block); planted when some columns are then scaled by a _PLANTED
+    entry, so that P may misread a Krylov rank."""
     n = draw(st.integers(1, 5))
     scalars = draw(st.sampled_from([real_scalars, gaussian_scalars]))
     kind = draw(st.sampled_from(["dense", "low rank", "repeated"]))
     if kind == "dense":
-        return draw(_matrices(n, n, scalars))
-    if kind == "low rank":
+        m = draw(_matrices(n, n, scalars))
+    elif kind == "low rank":
         r = draw(st.integers(1, n))
-        return draw(_matrices(n, r, scalars)) * draw(_matrices(r, n, scalars))
-    values = draw(st.lists(scalars, min_size=1, max_size=2))
-    diag = [draw(st.sampled_from(values)) for _ in range(n)]
-    upper = draw(_matrices(n, n, st.just(gr(1))))
-    lower = draw(_matrices(n, n, st.builds(gr, st.integers(-2, 2))))
-    tri = [[diag[i] if i == j else upper.entry(i, j) if j > i else 0 for j in range(n)] for i in range(n)]
-    unit = [[1 if i == j else lower.entry(i, j) if j < i else 0 for j in range(n)] for i in range(n)]
-    t = ExactMatrix.from_rows(unit)
-    return t * ExactMatrix.from_rows(tri) * solve_columns(t, ExactMatrix.identity(n))
-
-
-@settings(max_examples=150, deadline=None)
-@given(_krylov_matrices())
-def test_minimal_polynomial_matches_stepwise_search(m):
-    assert minimal_polynomial(m) == _stepwise_minimal_polynomial(m)
-
-
-def test_certificate_prime():
-    assert _P % 4 == 1 and _P < 2**31
-    assert all(_P % q for q in range(2, isqrt(_P) + 1))
-    assert _S * _S % _P == _P - 1
+        m = draw(_matrices(n, r, scalars)) * draw(_matrices(r, n, scalars))
+    else:
+        values = draw(st.lists(scalars, min_size=1, max_size=2))
+        diag = [draw(st.sampled_from(values)) for _ in range(n)]
+        upper = draw(_matrices(n, n, st.just(gr(1))))
+        lower = draw(_matrices(n, n, st.builds(gr, st.integers(-2, 2))))
+        tri = [[diag[i] if i == j else upper.entry(i, j) if j > i else 0 for j in range(n)] for i in range(n)]
+        unit = [[1 if i == j else lower.entry(i, j) if j < i else 0 for j in range(n)] for i in range(n)]
+        t = ExactMatrix.from_rows(unit)
+        m = t * ExactMatrix.from_rows(tri) * solve_columns(t, ExactMatrix.identity(n))
+    scales = draw(st.lists(st.sampled_from([ONE, ONE, *_PLANTED]), min_size=n, max_size=n))
+    planted = draw(st.booleans()) and scales.count(ONE) < n
+    return (m * ExactMatrix.diagonal(scales) if planted else m), planted
 
 
 def _count_solves(monkeypatch):
@@ -286,65 +292,104 @@ def _count_solves(monkeypatch):
     return calls
 
 
-# diag(0, P) and diag(0, S - i) read as 0 mod P, of degree 1; a P in a
-# denominator leaves no image, so no bound.  All three have degree 2.
-@pytest.mark.parametrize(
-    "entry, bound", [(_P, 1), (_S - I, 1), (Fraction(1, _P), 0)], ids=["P", "S-i", "1/P"]
-)
-def test_minimal_polynomial_past_a_low_bound_mod_p(entry, bound, monkeypatch):
-    m = ExactMatrix.diagonal([0, entry])
-    assert _mod_degree_bound(m) == bound
+@settings(max_examples=150, deadline=None)
+@given(_krylov_matrices())
+def test_minimal_polynomial_matches_stepwise_search(case):
+    """Each vector's solves start at its spin rank mod P, so when P reads
+    every degree right the solved column counts add up to the degree; a
+    planted entry can only add solves."""
+    m, planted = case
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_solves(mp)
+        p = minimal_polynomial(m)
+    assert p == _stepwise_minimal_polynomial(m)
+    columns = sum(cols for _rows, cols in calls)
+    assert columns >= p.degree if planted else columns == p.degree
+
+
+def test_certificate_prime():
+    assert _P % 4 == 1 and _P < 2**31
+    assert all(_P % q for q in range(2, isqrt(_P) + 1))
+    assert _S * _S % _P == _P - 1
+
+
+# P reads the planted entry as 0, or P in a denominator leaves no image.  In
+# diag(0, entry), w = M e_1 = (0, entry) spins to rank 0 mod P, below its
+# degree 1, which is where every solve starts.  With the entry below the
+# diagonal, e_0 spins to rank 1, short of its degree 2, so the solve at rank
+# 1 is inconsistent and one more power is solved.
+@pytest.mark.parametrize("entry", _PLANTED, ids=["P", "S-i", "1/P"])
+def test_minimal_polynomial_past_a_low_bound_mod_p(entry, monkeypatch):
+    diagonal = ExactMatrix.diagonal([0, entry])
+    assert _spin_rank_mod_p((gr(0), entry), [diagonal]) == 0
     calls = _count_solves(monkeypatch)
-    assert minimal_polynomial(m) == Poly.from_roots([0, entry])
-    assert calls == [(4, 1), (4, 2)]
+    assert minimal_polynomial(diagonal) == Poly.from_roots([0, entry])
+    assert calls == [(2, 1), (2, 1)]
+    below = ExactMatrix.from_rows([[1, 0], [entry, 1]])
+    assert _spin_rank_mod_p(_unit(2, 0), [below]) == 1
+    calls = _count_solves(monkeypatch)
+    assert minimal_polynomial(below) == Poly.from_roots([1, 1])
+    assert calls == [(2, 1), (2, 2)]
 
 
 def test_minimal_polynomial_solves_once_when_p_reads_the_degree(monkeypatch):
+    """e_0 and e_2 are eigenvectors, and (M - i)(M - 1)e_1 is one more: one
+    one-column solve each, three columns for the degree 3."""
     m = ExactMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, I]])
-    assert _mod_degree_bound(m) == 3
     calls = _count_solves(monkeypatch)
     assert minimal_polynomial(m) == Poly.from_roots([1, 1, I])
-    assert calls == [(9, 3)]
+    assert calls == [(3, 1)] * 3
 
 
-# -- the cyclic-vector route and its fallback -----------------------------------
+# -- cyclic and non-cyclic basis vectors ----------------------------------------
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(_krylov_matrices())
-def test_cyclic_route_matches_stepwise_search(m):
-    cyclic = _cyclic_minimal_polynomial(m)
-    assert cyclic is None or cyclic == _stepwise_minimal_polynomial(m)
+def test_cyclic_route_matches_stepwise_search(case):
+    """Where e_0 or e_{n-1} spins to rank n mod P, one n-column solve gives
+    the minimal polynomial."""
+    m, _planted = case
+    n = m.rows
+    cyclic = n in (_spin_rank_mod_p(_unit(n, j), [m]) for j in (0, n - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_solves(mp)
+        p = minimal_polynomial(m)
+    assert p == _stepwise_minimal_polynomial(m)
+    assert calls == [(n, n)] or not cyclic
 
 
-# Neither e_0 nor e_{n-1} spins to rank n mod P here: it is an eigenvector,
-# P reads a nonzero entry as 0, or P in a denominator leaves no image.  The
-# flattened-powers search must answer.
+# Neither e_0 nor e_{n-1} spins to rank n mod P here: each is an
+# eigenvector, P reads a nonzero entry as 0, or P in a denominator leaves no
+# image.  The other basis vectors complete the lcm, and a spin rank short of
+# a vector's degree costs one more solve.
 @pytest.mark.parametrize(
-    "m, expected",
+    "m, expected, solves",
     [
-        (ExactMatrix.scalar_matrix(3, Fraction(2, 3)), Poly.from_roots([Fraction(2, 3)])),
-        (ExactMatrix.diagonal([1, 1, 2]), Poly.from_roots([1, 2])),
-        (ExactMatrix.diagonal([1, 2, I]), Poly.from_roots([1, 2, I])),
-        (ExactMatrix.diagonal([0, _P]), Poly.from_roots([0, _P])),
-        (ExactMatrix.from_rows([[1, 0], [_P, 1]]), Poly.from_roots([1, 1])),
-        (ExactMatrix.from_rows([[0, Fraction(1, _P)], [1, 0]]), Poly((-Fraction(1, _P), 0, 1))),
+        (ExactMatrix.scalar_matrix(3, Fraction(2, 3)), Poly.from_roots([Fraction(2, 3)]), [1]),
+        (ExactMatrix.diagonal([1, 1, 2]), Poly.from_roots([1, 2]), [1, 1]),
+        (ExactMatrix.diagonal([1, 2, I]), Poly.from_roots([1, 2, I]), [1, 1, 1]),
+        (ExactMatrix.diagonal([0, _P]), Poly.from_roots([0, _P]), [1, 1]),
+        (ExactMatrix.from_rows([[1, 0], [_P, 1]]), Poly.from_roots([1, 1]), [1, 2]),
+        (ExactMatrix.from_rows([[0, Fraction(1, _P)], [1, 0]]), Poly((-Fraction(1, _P), 0, 1)), [1, 2]),
     ],
     ids=["scalar", "diag(1,1,2)", "distinct-diagonal", "diag(0,P)", "P-below-the-diagonal", "1/P"],
 )
-def test_non_cyclic_matrices_take_the_flattened_search(m, expected, monkeypatch):
-    assert _cyclic_minimal_polynomial(m) is None
+def test_non_cyclic_matrices_combine_basis_vectors(m, expected, solves, monkeypatch):
     calls = _count_solves(monkeypatch)
     assert minimal_polynomial(m) == expected
-    assert calls and all(rows == m.rows**2 for rows, _cols in calls)
+    assert calls == [(m.rows, cols) for cols in solves]
     assert expected == _stepwise_minimal_polynomial(m)
 
 
 def test_rd_generators_take_the_cyclic_route(monkeypatch):
+    """e_0 is cyclic for A and C of an irreducible R_6, and e_6 for the upper
+    bidiagonal B, whose e_0 is an eigenvector: one 7-column solve each."""
     params = RdParams(GaussianRational(Fraction(2, 3), Fraction(1, 3)), GaussianRational(-2, 1),
                       GaussianRational(3, 1), 6)
     assert is_irreducible(params)
     rep = construct(params)
+    assert _spin_rank_mod_p(_unit(7, 0), [rep.B]) == 1
     for op in (rep.A, rep.B, rep.C):
         calls = _count_solves(monkeypatch)
         assert minimal_polynomial(op) == _stepwise_minimal_polynomial(op)

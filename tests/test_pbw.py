@@ -159,33 +159,6 @@ def test_equivariance_table():
     assert d3_apply("s", sharp("Delta")) == -sharp("Delta")
 
 
-def test_text_format_roundtrip():
-    element = sharp("Delta") + sharp("B") * GaussianRational(0, 1)
-    text = pbw.pbw_to_text(element)
-    for line in text.splitlines():
-        assert len(line.split()) == 5
-    assert pbw.pbw_from_text(text) == element
-    assert pbw.pbw_from_text("") == PBWElement.zero()
-    assert pbw.pbw_to_text(PBWElement.zero()) == ""
-
-
-_exponents = st.integers(0, 6)
-_coefficients = st.builds(
-    GaussianRational,
-    st.fractions(-9, 9, max_denominator=11),
-    st.one_of(st.just(0), st.fractions(-9, 9, max_denominator=11)),
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.dictionaries(st.tuples(_exponents, _exponents, _exponents), _coefficients, max_size=8))
-def test_text_format_roundtrip_property(terms):
-    element = PBWElement(terms)
-    text = pbw.pbw_to_text(element)
-    assert pbw.pbw_from_text(text) == element
-    assert pbw.pbw_to_text(pbw.pbw_from_text(text)) == text
-
-
 def test_even_lambda_span_membership():
     coords = pbw.even_lambda_span_coordinates(sharp("A"))
     assert coords is not None

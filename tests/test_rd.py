@@ -201,8 +201,8 @@ class TestLeonardWindow:
 
 def test_sampled_irreducible_r6_is_certified_mod_p(monkeypatch):
     """Irreducible draws from the suite's sampling box at d = 6 are certified
-    by the mod-P closure alone, and P reads each minimal polynomial's degree,
-    so each takes one exact solve."""
+    without the exact closure, and each generator's minimal polynomial takes
+    one exact solve, from the end of the basis that is cyclic."""
 
     def exact_closure(gens):
         raise AssertionError("the exact closure ran")

@@ -191,15 +191,15 @@ def _count_exact_closures(monkeypatch):
 def _count_short_mod_p_spins(monkeypatch):
     """The spins mod P that fell short of rank n, so that the exact spin ran."""
     short = []
-    spins_mod_p = span_module._spins_mod_p
+    spin_rank_mod_p = span_module._spin_rank_mod_p
 
-    def spy(vec, images, n):
-        full = spins_mod_p(vec, images, n)
-        if not full:
+    def spy(vec, gens):
+        rank = spin_rank_mod_p(vec, gens)
+        if rank < len(vec):
             short.append(vec)
-        return full
+        return rank
 
-    monkeypatch.setattr(span_module, "_spins_mod_p", spy)
+    monkeypatch.setattr(span_module, "_spin_rank_mod_p", spy)
     return short
 
 
