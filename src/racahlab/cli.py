@@ -28,7 +28,7 @@ from .racah import (
     verify_presentation,
     verify_section6_relations,
 )
-from .sl2 import MAX_DENSE_D, build_hypercube, build_Ln
+from .sl2 import MAX_DENSE_D, build_hypercube, build_Ln, even_halves
 
 REPORT_SCHEMA = "racahlab-report/1"
 
@@ -37,23 +37,6 @@ REPORT_SCHEMA = "racahlab-report/1"
 # `decompose --target Ln` 0.3 s and a `lemma6_suite` sample about 1 s;
 # `rd analyze` takes 7 s at 64 and 37 s (480 MB) at 96.
 MAX_MODULE_SIZE = 32
-
-SUITE_TARGETS = (
-    "thm1_4",
-    "thm1_5",
-    "thm1_6_membership",
-    "thm3_3",
-    "sec3_identities",
-    "prop2_4",
-    "lemma6_suite",
-    "thm6_9",
-    "thm7_2",
-    "thm7_5",
-    "thm1_8",
-    "thm8_4",
-    "thm8_7",
-)
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -83,14 +66,8 @@ def _check_json(result: pbw.CheckResult) -> dict:
     }
 
 
-def _check_dict(target: str, result: pbw.CheckResult) -> dict:
-    return {"target": target, **_check_json(result)}
-
-
-def _ok(target: str, name: str, passed: bool, **extra) -> dict:
-    out = {"target": target, "identity": name, "pass": bool(passed)}
-    out.update(extra)
-    return out
+def _ok(name: str, passed: bool, **extra) -> dict:
+    return {"identity": name, "pass": bool(passed), **extra}
 
 
 # -- seeded parameter sampling --------------------------------------------------
@@ -120,26 +97,20 @@ def _samples(cfg: SuiteConfig, offset: int):
 # -- suite targets ------------------------------------------------------------
 
 
-def _run_thm1_4(cfg: SuiteConfig) -> list[dict]:
-    return [_check_dict("thm1_4", r) for r in pbw.verify_sharp_relations()]
+# The symbolic targets: the `verify` suite that prints the same checks (None
+# if there is none) and the pbw functions that make them.
+_SYMBOLIC_TARGETS = {
+    "thm1_4": ("sharp", [pbw.verify_sharp_relations]),
+    "thm1_5": (None, [pbw.verify_casimir_images]),
+    "thm1_6_membership": ("kernel", [pbw.verify_kernel_generators]),
+    "thm3_3": ("d3", [pbw.verify_d3_presentation, pbw.verify_equivariance]),
+    "sec3_identities": ("even-identities", [pbw.verify_even_identities]),
+}
+_VERIFY_SUITES = {name: target for target, (name, _) in _SYMBOLIC_TARGETS.items() if name}
 
 
-def _run_thm1_5(cfg: SuiteConfig) -> list[dict]:
-    return [_check_dict("thm1_5", r) for r in pbw.verify_casimir_images()]
-
-
-def _run_thm1_6(cfg: SuiteConfig) -> list[dict]:
-    return [_check_dict("thm1_6_membership", r) for r in pbw.verify_kernel_generators()]
-
-
-def _run_thm3_3(cfg: SuiteConfig) -> list[dict]:
-    out = [_check_dict("thm3_3", r) for r in pbw.verify_d3_presentation()]
-    out.extend(_check_dict("thm3_3", r) for r in pbw.verify_equivariance())
-    return out
-
-
-def _run_sec3(cfg: SuiteConfig) -> list[dict]:
-    return [_check_dict("sec3_identities", r) for r in pbw.verify_even_identities()]
+def _symbolic_checks(target: str) -> list[pbw.CheckResult]:
+    return [r for verify in _SYMBOLIC_TARGETS[target][1] for r in verify()]
 
 
 def _run_prop2_4(cfg: SuiteConfig) -> list[dict]:
@@ -149,7 +120,6 @@ def _run_prop2_4(cfg: SuiteConfig) -> list[dict]:
         report = verify_presentation(rep)
         out.append(
             _ok(
-                "prop2_4",
                 f"sample {k}: presentation holds for {params.label()}",
                 report.ok,
             )
@@ -160,7 +130,6 @@ def _run_prop2_4(cfg: SuiteConfig) -> list[dict]:
         match = all(scalars[name] == closed[name] for name in closed)
         out.append(
             _ok(
-                "prop2_4",
                 f"sample {k}: central values are the four closed scalars",
                 match,
             )
@@ -174,18 +143,17 @@ def _run_lemma6(cfg: SuiteConfig) -> list[dict]:
         rep = rd.construct(params)
         traces = (rep.A.trace(), rep.B.trace(), rep.C.trace())
         traces_ok = rd.iso_class_from_traces(params.d, *traces) == rd.iso_class_of(params)
-        out.append(_ok("lemma6_suite", f"sample {k}: trace closed forms", traces_ok))
+        out.append(_ok(f"sample {k}: trace closed forms", traces_ok))
         witness = rd.is_irreducible(params)
         burnside = rd.burnside_irreducible(rep)
         out.append(
             _ok(
-                "lemma6_suite",
                 f"sample {k}: irreducibility criterion agrees with closure oracle",
                 bool(witness) == burnside,
             )
         )
         sec6 = verify_section6_relations(rep)
-        out.append(_ok("lemma6_suite", f"sample {k}: six auxiliary relations", sec6.ok))
+        out.append(_ok(f"sample {k}: six auxiliary relations", sec6.ok))
         if witness:
             polys = rd.min_polys(params)
             gcd_flags = [p.is_squarefree for p in polys]
@@ -195,7 +163,6 @@ def _run_lemma6(cfg: SuiteConfig) -> list[dict]:
             ]
             out.append(
                 _ok(
-                    "lemma6_suite",
                     f"sample {k}: diagonalizability window matches squarefree test",
                     gcd_flags == window_flags,
                 )
@@ -210,7 +177,6 @@ def _run_thm6_9(cfg: SuiteConfig) -> list[dict]:
         if not witness:
             out.append(
                 _ok(
-                    "thm6_9",
                     f"sample {k}: {params.label()} reducible; criterion skipped",
                     True,
                 )
@@ -221,7 +187,6 @@ def _run_thm6_9(cfg: SuiteConfig) -> list[dict]:
         checker = leonard.check(rep.A, rep.B, rep.C, hints=rd.leonard_hints(params)).passed
         out.append(
             _ok(
-                "thm6_9",
                 f"sample {k}: window criterion agrees with generic checker on {params.label()}",
                 criterion == checker,
             )
@@ -229,9 +194,7 @@ def _run_thm6_9(cfg: SuiteConfig) -> list[dict]:
     return out
 
 
-def _run_thm7(cfg: SuiteConfig, parity: int, target: str) -> list[dict]:
-    from .sl2 import even_halves
-
+def _run_thm7(cfg: SuiteConfig, parity: int) -> list[dict]:
     out = []
     for n in range(parity, 13):
         rep = build_Ln(n)
@@ -246,7 +209,6 @@ def _run_thm7(cfg: SuiteConfig, parity: int, target: str) -> list[dict]:
         found = report.classes()
         out.append(
             _ok(
-                target,
                 f"n={n}: parity-{parity} half splits into the stated classes",
                 found == expected and report.complete,
                 classes=sorted(g.label for g in report.summands),
@@ -254,7 +216,6 @@ def _run_thm7(cfg: SuiteConfig, parity: int, target: str) -> list[dict]:
         )
         out.append(
             _ok(
-                target,
                 f"n={n}: all parity-{parity} summands pass the Leonard check",
                 all(g.leonard_passed for g in report.summands),
             )
@@ -268,7 +229,7 @@ def _run_thm1_8(cfg: SuiteConfig) -> list[dict]:
     for D in range(lo, hi + 1):
         for c in cube_build(D)[1]:
             if "pullback" in c.identity or "A2" in c.identity:
-                out.append(_check_dict("thm1_8", c))
+                out.append(_check_json(c))
         closure_graph = dec.cube_operator_closure(D)
         closure_pull = dec.cube_pullback_closure(D)
         ops = cube_operators(D)
@@ -279,7 +240,6 @@ def _run_thm1_8(cfg: SuiteConfig) -> list[dict]:
         )
         out.append(
             _ok(
-                "thm1_8",
                 f"D={D}: generated algebras coincide (dims {closure_graph.dim} = {closure_pull.dim})",
                 closure_graph.dim == closure_pull.dim and mutual,
             )
@@ -295,14 +255,12 @@ def _run_thm8_4(cfg: SuiteConfig) -> list[dict]:
         formula = dec.block_dimension_formula(D)
         out.append(
             _ok(
-                "thm8_4",
                 f"D={D}: closure dimension {profile.dim} equals the binomial formula {formula}",
                 profile.dim == formula,
             )
         )
         out.append(
             _ok(
-                "thm8_4",
                 f"D={D}: block profile matches the case expression",
                 profile.blocks == dec.expected_block_profile(D),
                 blocks=[list(b) for b in profile.blocks],
@@ -319,7 +277,6 @@ def _run_thm8_7(cfg: SuiteConfig) -> list[dict]:
         expected_equal = D % 2 == 1
         out.append(
             _ok(
-                "thm8_7",
                 f"D={D}: restricted algebra dims ({cmp.dim_te}, {cmp.dim_re}), equal iff D odd",
                 cmp.contained
                 and cmp.equal == expected_equal
@@ -331,7 +288,6 @@ def _run_thm8_7(cfg: SuiteConfig) -> list[dict]:
         if cmp.te_classes_ok is not None:
             out.append(
                 _ok(
-                    "thm8_7",
                     f"D={D}: even-restriction class catalog",
                     cmp.te_classes_ok,
                 )
@@ -340,20 +296,21 @@ def _run_thm8_7(cfg: SuiteConfig) -> list[dict]:
 
 
 _TARGET_RUNNERS = {
-    "thm1_4": _run_thm1_4,
-    "thm1_5": _run_thm1_5,
-    "thm1_6_membership": _run_thm1_6,
-    "thm3_3": _run_thm3_3,
-    "sec3_identities": _run_sec3,
+    **{
+        target: lambda cfg, target=target: [_check_json(r) for r in _symbolic_checks(target)]
+        for target in _SYMBOLIC_TARGETS
+    },
     "prop2_4": _run_prop2_4,
     "lemma6_suite": _run_lemma6,
     "thm6_9": _run_thm6_9,
-    "thm7_2": lambda cfg: _run_thm7(cfg, 0, "thm7_2"),
-    "thm7_5": lambda cfg: _run_thm7(cfg, 1, "thm7_5"),
+    "thm7_2": lambda cfg: _run_thm7(cfg, 0),
+    "thm7_5": lambda cfg: _run_thm7(cfg, 1),
     "thm1_8": _run_thm1_8,
     "thm8_4": _run_thm8_4,
     "thm8_7": _run_thm8_7,
 }
+# the default --targets, in the order that config.targets prints
+SUITE_TARGETS = tuple(_TARGET_RUNNERS)
 
 
 def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
@@ -370,7 +327,7 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     results = {target: _TARGET_RUNNERS[target](cfg) for target in cfg.targets}
     checks: list[dict] = []
     for target in sorted(results):
-        checks.extend(results[target])
+        checks.extend({"target": target, **row} for row in results[target])
     ok = all(c["pass"] for c in checks)
     report = {
         "schema": REPORT_SCHEMA,
@@ -407,6 +364,12 @@ def _export_cube_operators(D: int, directory: Path) -> None:
 
 def _dump(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _print_checks(checks) -> int:
+    """Print the checks as a JSON list; exit status 0 iff every one passed."""
+    _emit(_dump([_check_json(c) for c in checks]), None)
+    return 0 if all(c.passed for c in checks) else 1
 
 
 def _leonard_json(report: leonard.LeonardReport) -> dict:
@@ -506,10 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="symbolic identity suites")
-    verify.add_argument(
-        "suite",
-        choices=["sharp", "kernel", "d3", "even-identities"],
-    )
+    verify.add_argument("suite", choices=list(_VERIFY_SUITES))
 
     racah_cmd = sub.add_parser("racah", help="operator quadruple checks")
     racah_sub = racah_cmd.add_subparsers(dest="racah_command", required=True)
@@ -587,20 +547,10 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "verify":
-        runner = {
-            "sharp": pbw.verify_sharp_relations,
-            "kernel": pbw.verify_kernel_generators,
-            "d3": lambda: pbw.verify_d3_presentation() + pbw.verify_equivariance(),
-            "even-identities": pbw.verify_even_identities,
-        }[args.suite]
-        checks = runner()
-        _emit(_dump([_check_json(c) for c in checks]), None)
-        return 0 if all(c.passed for c in checks) else 1
+        return _print_checks(_symbolic_checks(_VERIFY_SUITES[args.suite]))
 
     if args.command == "racah":
-        report = verify_presentation(_load_rep(args.rep))
-        _emit(_dump([_check_json(c) for c in report.checks]), None)
-        return 0 if report.ok else 1
+        return _print_checks(verify_presentation(_load_rep(args.rep)).checks)
 
     if args.command == "rd":
         params = rd.RdParams(
@@ -643,9 +593,7 @@ def _dispatch(args) -> int:
                 rep, _ops = build_hypercube(args.D)
                 print(f"built cube D={args.D}: dimension {rep.dim}")
             return 0
-        checks = cube_build(args.D)[1]
-        _emit(_dump([_check_json(c) for c in checks]), None)
-        return 0 if all(c.passed for c in checks) else 1
+        return _print_checks(cube_build(args.D)[1])
 
     if args.command == "decompose":
         if args.target == "hypercube":

@@ -74,10 +74,13 @@ class SummandGroup:
 class DecompositionReport:
     ambient_dim: int
     summands: tuple[SummandGroup, ...]
-    complete: bool
 
     def total_dim(self) -> int:
         return sum(g.dim * g.multiplicity for g in self.summands)
+
+    @property
+    def complete(self) -> bool:
+        return self.total_dim() == self.ambient_dim
 
     def classes(self) -> set:
         return {g.iso for g in self.summands if g.iso is not None}
@@ -211,9 +214,7 @@ def sl2_isotypic(rep: Sl2Rep) -> DecompositionReport:
         )
         for n, wits in sorted(grouped.items(), reverse=True)
     )
-    report = DecompositionReport(
-        rep.dim, summands, sum(g.dim * g.multiplicity for g in summands) == rep.dim
-    )
+    report = DecompositionReport(rep.dim, summands)
     if not report.complete:
         raise ArithmeticError("isotypic decomposition is incomplete")
     return report
@@ -346,9 +347,7 @@ def even_isotypic(
         )
         for (n, parity), wits in sorted(grouped.items(), reverse=True)
     )
-    report = DecompositionReport(
-        dim, summands, sum(g.dim * g.multiplicity for g in summands) == dim
-    )
+    report = DecompositionReport(dim, summands)
     if not report.complete:
         raise ArithmeticError("even isotypic decomposition is incomplete")
     return report
@@ -518,8 +517,7 @@ def _parts_to_report(ambient_dim: int, parts: list[CertifiedPart]) -> Decomposit
                 leonard.passed,
             )
         )
-    total = sum(g.dim * g.multiplicity for g in summands)
-    return DecompositionReport(ambient_dim, tuple(summands), total == ambient_dim)
+    return DecompositionReport(ambient_dim, tuple(summands))
 
 
 # -- the full chain: module -> classes ---------------------------------------
@@ -703,7 +701,7 @@ class TeReComparison:
     te_classes_ok: bool | None
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=orbit.MAX_ORBIT_D)
 def compare_te_re(D: int) -> TeReComparison:
     """Closure dimensions of both operator families on the even levels.
 
@@ -754,12 +752,13 @@ def _sum_reports(
     )
     if len({g.iso for g in summands}) != len(summands):
         raise ArithmeticError("a class appears in two summed modules")
-    if sum(g.dim * g.multiplicity for g in summands) != ambient_dim:
+    report = DecompositionReport(ambient_dim, tuple(summands))
+    if not report.complete:
         raise ArithmeticError("class dimensions do not sum to the ambient dimension")
-    return DecompositionReport(ambient_dim, tuple(summands), True)
+    return report
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=orbit.MAX_ORBIT_D)
 def halved_decompose(D: int) -> DecompositionReport:
     """Class decomposition of the even-level restriction, one parity half of
     each copy of L_{D-2k} at a time."""
@@ -768,7 +767,7 @@ def halved_decompose(D: int) -> DecompositionReport:
     )
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=orbit.MAX_ORBIT_D)
 def cube_decompose(D: int) -> DecompositionReport:
     """Class decomposition of the cube module, one copy of L_{D-2k} at a time,
     checked against the catalog."""
@@ -783,14 +782,14 @@ def cube_decompose(D: int) -> DecompositionReport:
     return report
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=orbit.MAX_ORBIT_D)
 def cube_operator_closure(D: int) -> orbit.OrbitClosure:
     """Closure of the three level-graph operators on the cube, in orbit coordinates."""
     ops = orbit.cube_operators(D)
     return orbit.closure([ops["A2J"], ops["A2Jbar"], ops["2A2star"]], D)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=orbit.MAX_ORBIT_D)
 def cube_pullback_closure(D: int) -> orbit.OrbitClosure:
     """Closure of the pulled-back generator images on the cube, in orbit
     coordinates; the images are orbit products of E, F and H."""

@@ -594,15 +594,19 @@ class _ModSpan:
         return False
 
 
-def _spin_rank_mod_p(vec, gens: Sequence[ExactMatrix]) -> int:
-    """The rank mod P of the spin of vec under the images of the generators
-    that have one (0 when vec has no image).  The spin mod P is the image of
-    words of the exact spin, so its rank is a lower bound on the exact spin's
-    rank."""
+def _mod_images(gens: Iterable[ExactMatrix]) -> list[list[list[int]]]:
+    """The images mod P of the generators that have one."""
+    return [image for image in map(_mod_image, gens) if image is not None]
+
+
+def _spin_rank_mod_p(vec, images: Sequence[list[list[int]]]) -> int:
+    """The rank mod P of the spin of vec under generator images from
+    ``_mod_images`` (0 when vec has no image).  The spin mod P is the image
+    of words of the exact spin, so its rank is a lower bound on the exact
+    spin's rank."""
     seed = _mod_ints(*_vector_ints(vec))
     if seed is None:
         return 0
-    images = [image for image in map(_mod_image, gens) if image is not None]
     return len(_walk([[[x] for x in seed]], images, _mod_matmul, _ModSpan().add, len(vec)))
 
 
@@ -730,9 +734,10 @@ def minimal_polynomial(matrix: ExactMatrix) -> Poly:
     if not matrix.is_square:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
     n = matrix.rows
+    images = _mod_images([matrix])
 
     def with_bound(vec):
-        return vec, max(1, _spin_rank_mod_p(vec, [matrix]))
+        return vec, max(1, _spin_rank_mod_p(vec, images))
 
     def unit(j):
         return tuple(ONE if i == j else ZERO for i in range(n))

@@ -35,15 +35,12 @@ class Sl2Rep:
     E: ExactMatrix
     F: ExactMatrix
     H: ExactMatrix
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         for name in ("E", "F", "H"):
             m = getattr(self, name)
             if not m.is_square or m.rows != self.dim:
                 raise DimensionMismatch(f"operator {name} must be {self.dim}x{self.dim}")
-        if len(self.labels) != self.dim:
-            raise DimensionMismatch("label count must match dimension")
 
 
 def relation_checks(rep: Sl2Rep) -> list[CheckResult]:
@@ -87,7 +84,6 @@ def build_Ln(n: int) -> Sl2Rep:
         ExactMatrix.from_rows(e_rows),
         ExactMatrix.from_rows(f_rows),
         ExactMatrix.diagonal([n - 2 * i for i in range(dim)]),
-        tuple(f"v{i}" for i in range(dim)),
     )
     return _require_relations(rep)
 
@@ -106,7 +102,6 @@ class EvenHalfModule:
     F2: ExactMatrix
     H: ExactMatrix
     Lam: ExactMatrix
-    labels: tuple[str, ...]
     indices: tuple[int, ...]
 
 
@@ -170,7 +165,6 @@ def even_halves(rep: Sl2Rep) -> tuple[EvenHalfModule, EvenHalfModule | None]:
             sub(f2),
             sub(rep.H),
             sub(lam),
-            tuple(f"u{parity}_{k}" for k in range(len(indices))),
             indices,
         )
         exp_e2, exp_f2, exp_h = _expected_half(n, parity)
@@ -227,12 +221,10 @@ def half_pullback(half: EvenHalfModule) -> RacahRep:
 
 @dataclass(frozen=True)
 class HypercubeSpace:
-    """Vertex bookkeeping: subsets in binary order plus distance relations."""
+    """Vertex bookkeeping: subsets in binary order plus the distance-2 relation."""
 
     D: int
     vertices: tuple[int, ...]
-    labels: tuple[str, ...]
-    r1: frozenset[tuple[int, int]]
     r2: frozenset[tuple[int, int]]
 
 
@@ -246,28 +238,16 @@ class GraphOperators:
     A2star: ExactMatrix
 
 
-def _subset_label(mask: int, D: int) -> str:
-    elems = [str(i + 1) for i in range(D) if mask >> i & 1]
-    return "{" + ",".join(elems) + "}"
-
-
 @lru_cache(maxsize=None)
 def hypercube_space(D: int) -> HypercubeSpace:
     if D < 2:
         raise ConfigError("the cube dimension must be at least 2")
     size = 1 << D
     vertices = tuple(range(size))
-    labels = tuple(_subset_label(v, D) for v in vertices)
-    r1 = set()
-    r2 = set()
-    for x in vertices:
-        for y in range(x + 1, size):
-            dist = (x ^ y).bit_count()
-            if dist == 1:
-                r1.add((x, y))
-            elif dist == 2:
-                r2.add((x, y))
-    return HypercubeSpace(D, vertices, labels, frozenset(r1), frozenset(r2))
+    r2 = frozenset(
+        (x, y) for x in vertices for y in range(x + 1, size) if (x ^ y).bit_count() == 2
+    )
+    return HypercubeSpace(D, vertices, r2)
 
 
 def _rows_to_matrix(cells: set[tuple[int, int]], n: int) -> ExactMatrix:
@@ -299,7 +279,6 @@ def _checked_hypercube(D: int) -> tuple[Sl2Rep, GraphOperators, tuple[CheckResul
         _rows_to_matrix(e_cells, n),
         _rows_to_matrix(f_cells, n),
         h,
-        space.labels,
     )
     aj_cells: set[tuple[int, int]] = set()
     ajbar_cells: set[tuple[int, int]] = set()
@@ -359,7 +338,6 @@ class HalvedCube:
     D: int
     dim: int
     indices: tuple[int, ...]
-    labels: tuple[str, ...]
     te_ops: dict[str, ExactMatrix]
     re_ops: dict[str, ExactMatrix]
 
@@ -378,7 +356,6 @@ def halved_cube(D: int) -> HalvedCube:
     rep, _ops = build_hypercube(D)
     space = hypercube_space(D)
     indices = tuple(v for v in space.vertices if v.bit_count() % 2 == 0)
-    labels = tuple(space.labels[v] for v in indices)
     e2 = rep.E * rep.E
     f2 = rep.F * rep.F
     lam = casimir_matrix(rep)
@@ -395,4 +372,4 @@ def halved_cube(D: int) -> HalvedCube:
         "C": _restrict(pull.C, indices, "C"),
         "Delta": _restrict(pull.Delta, indices, "Delta"),
     }
-    return HalvedCube(D, len(indices), indices, labels, te, re_ops)
+    return HalvedCube(D, len(indices), indices, te, re_ops)

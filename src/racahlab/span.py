@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch
 from .matrix import ExactMatrix, VectorSpan, _from_ints, _gauss_int_matmul, _walk
-from .matrix import _ModSpan, _mod_image, _spin_rank_mod_p
+from .matrix import _ModSpan, _mod_image, _mod_images, _spin_rank_mod_p
 from .matrix import kernel_basis, minimal_polynomial, rational_roots
 
 
@@ -84,7 +84,7 @@ def _mod_rank(rows) -> int:
 def _spins(vec, gens: Sequence[ExactMatrix], n: int) -> bool:
     """True iff vec spins to the whole n-space under gens.  Rank n mod P
     decides at once; otherwise the exact spin decides."""
-    if _spin_rank_mod_p(vec, gens) == n:
+    if _spin_rank_mod_p(vec, _mod_images(gens)) == n:
         return True
     span = VectorSpan(n)
     return len(_walk([vec], gens, lambda g, u: g.apply(u), span.add, n)) == n

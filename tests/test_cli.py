@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, JSON shapes, determinism."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from racahlab import cli, leonard, rd, sl2
+from racahlab import cli, leonard, orbit, rd, sl2
+from racahlab import decompose as dec
 from racahlab.cli import build_parser, main, run_suite, SuiteConfig, SUITE_TARGETS
 from racahlab.gaussian import GaussianRational
 from racahlab.racah import rep_to_text
@@ -257,10 +259,46 @@ def test_rep_size_cap_is_read_from_the_headers(text, tmp_path, capsys):
     assert capsys.readouterr().err == f"configuration error: {path} has dimension 300, above the cap of {cap}\n"
 
 
-def test_all_targets_registered():
-    parser = build_parser()
-    args = parser.parse_args(["suite", "--targets", ",".join(SUITE_TARGETS)])
-    assert args.targets == ",".join(SUITE_TARGETS)
+def test_default_targets_order():
+    """The default --targets, in the order that config.targets prints."""
+    assert SUITE_TARGETS == (
+        "thm1_4", "thm1_5", "thm1_6_membership", "thm3_3", "sec3_identities",
+        "prop2_4", "lemma6_suite", "thm6_9", "thm7_2", "thm7_5", "thm1_8", "thm8_4", "thm8_7",
+    )
+    assert build_parser().parse_args(["suite"]).targets == ",".join(SUITE_TARGETS)
+
+
+@pytest.mark.parametrize(
+    "suite, target",
+    [("sharp", "thm1_4"), ("kernel", "thm1_6_membership"), ("d3", "thm3_3"),
+     ("even-identities", "sec3_identities")],
+)
+def test_verify_prints_the_rows_of_its_suite_target(suite, target, capsys):
+    status, out = _run(capsys, "verify", suite)
+    assert status == 0
+    status, report = _run(capsys, "suite", "--targets", target)
+    assert status == 0
+    rows = json.loads(report)["checks"]
+    assert all(row.pop("target") == target for row in rows)
+    assert json.loads(out) == rows
+
+
+def test_cube_suite_builds_each_closure_once(monkeypatch, capsys):
+    """Nine D values, more than a cache of 8 holds: thm8_4 reads every graph
+    closure that thm1_8 built."""
+    for cached in (dec.cube_operator_closure, dec.cube_pullback_closure, dec.cube_decompose):
+        cached.cache_clear()
+    built = Counter()
+    closure = orbit.closure
+
+    def spy(gens, D, even=False):
+        built[D, even, tuple(map(tuple, gens))] += 1
+        return closure(gens, D, even)
+
+    monkeypatch.setattr(orbit, "closure", spy)
+    status, _ = _run(capsys, "suite", "--targets", "thm1_8,thm8_4", "--D", "2..10")
+    assert status == 0
+    assert len(built) == 2 * 9 and set(built.values()) == {1}
 
 
 def test_suite_deterministic_and_exit_status(tmp_path):

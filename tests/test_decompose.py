@@ -167,7 +167,7 @@ class TestWeightSpaces:
         inverse = ExactMatrix.from_rows([[1, -1, 1], [0, 1, -1], [0, 0, 1]])
         assert unipotent * inverse == ExactMatrix.identity(3)
         conj = lambda m: unipotent * m * inverse
-        conjugated = Sl2Rep(3, conj(rep.E), conj(rep.F), conj(rep.H), rep.labels)
+        conjugated = Sl2Rep(3, conj(rep.E), conj(rep.F), conj(rep.H))
         with pytest.raises(NonDiagonalizableH):
             decompose(conjugated)
 

@@ -23,6 +23,7 @@ from racahlab.matrix import (
     VectorSpan,
     _IntEchelon,
     _lifting_prime,
+    _mod_images,
     _spin_rank_mod_p,
     _squarefree_mod_p,
     _vector_ints,
@@ -321,12 +322,12 @@ def test_certificate_prime():
 @pytest.mark.parametrize("entry", _PLANTED, ids=["P", "S-i", "1/P"])
 def test_minimal_polynomial_past_a_low_bound_mod_p(entry, monkeypatch):
     diagonal = ExactMatrix.diagonal([0, entry])
-    assert _spin_rank_mod_p((gr(0), entry), [diagonal]) == 0
+    assert _spin_rank_mod_p((gr(0), entry), _mod_images([diagonal])) == 0
     calls = _count_solves(monkeypatch)
     assert minimal_polynomial(diagonal) == Poly.from_roots([0, entry])
     assert calls == [(2, 1), (2, 1)]
     below = ExactMatrix.from_rows([[1, 0], [entry, 1]])
-    assert _spin_rank_mod_p(_unit(2, 0), [below]) == 1
+    assert _spin_rank_mod_p(_unit(2, 0), _mod_images([below])) == 1
     calls = _count_solves(monkeypatch)
     assert minimal_polynomial(below) == Poly.from_roots([1, 1])
     assert calls == [(2, 1), (2, 2)]
@@ -341,6 +342,16 @@ def test_minimal_polynomial_solves_once_when_p_reads_the_degree(monkeypatch):
     assert calls == [(3, 1)] * 3
 
 
+def test_minimal_polynomial_builds_one_image_mod_p(monkeypatch):
+    """Each basis vector of diag(1, 2, i) spins under the one image of M mod P."""
+    m = ExactMatrix.diagonal([1, 2, I])
+    images = []
+    mod_image = matrix_module._mod_image
+    monkeypatch.setattr(matrix_module, "_mod_image", lambda x: images.append(x) or mod_image(x))
+    assert minimal_polynomial.__wrapped__(m) == Poly.from_roots([1, 2, I])
+    assert images == [m]
+
+
 # -- cyclic and non-cyclic basis vectors ----------------------------------------
 
 
@@ -351,7 +362,7 @@ def test_cyclic_route_matches_stepwise_search(case):
     the minimal polynomial."""
     m, _planted = case
     n = m.rows
-    cyclic = n in (_spin_rank_mod_p(_unit(n, j), [m]) for j in (0, n - 1))
+    cyclic = n in (_spin_rank_mod_p(_unit(n, j), _mod_images([m])) for j in (0, n - 1))
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_solves(mp)
         p = minimal_polynomial(m)
@@ -389,7 +400,7 @@ def test_rd_generators_take_the_cyclic_route(monkeypatch):
                       GaussianRational(3, 1), 6)
     assert is_irreducible(params)
     rep = construct(params)
-    assert _spin_rank_mod_p(_unit(7, 0), [rep.B]) == 1
+    assert _spin_rank_mod_p(_unit(7, 0), _mod_images([rep.B])) == 1
     for op in (rep.A, rep.B, rep.C):
         calls = _count_solves(monkeypatch)
         assert minimal_polynomial(op) == _stepwise_minimal_polynomial(op)

@@ -56,7 +56,7 @@ def test_even_halves_dimensions():
 
 def test_even_halves_reject_nonstandard_basis():
     rep = build_Ln(2)
-    scrambled = Sl2Rep(3, rep.E, rep.F, ExactMatrix.diagonal([0, 2, -2]), rep.labels)
+    scrambled = Sl2Rep(3, rep.E, rep.F, ExactMatrix.diagonal([0, 2, -2]))
     with pytest.raises(ValueError):
         even_halves(scrambled)
 
@@ -96,10 +96,7 @@ class TestHypercube:
     def test_space_counts(self):
         space = hypercube_space(3)
         assert len(space.vertices) == 8
-        assert len(space.r1) == 12  # edges of the 3-cube
         assert len(space.r2) == 12
-        assert space.labels[0] == "{}"
-        assert space.labels[5] == "{1,3}"
 
     def test_d2_matrices(self):
         rep, ops = build_hypercube(2)

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import random
 
-from racahlab import rd, span as span_module
+from racahlab import matrix as matrix_module, rd, span as span_module
 from racahlab.gaussian import GaussianRational, I, gr
-from racahlab.matrix import _P, _S, ExactMatrix, _mod_image
+from racahlab.matrix import _P, _S, ExactMatrix, _mod_image, minimal_polynomial
 from racahlab.sl2 import build_Ln
 from racahlab.span import VectorSpan, _norton, algebra_closure, is_full_matrix_algebra
 
@@ -193,8 +193,8 @@ def _count_short_mod_p_spins(monkeypatch):
     short = []
     spin_rank_mod_p = span_module._spin_rank_mod_p
 
-    def spy(vec, gens):
-        rank = spin_rank_mod_p(vec, gens)
+    def spy(vec, images):
+        rank = spin_rank_mod_p(vec, images)
         if rank < len(vec):
             short.append(vec)
         return rank
@@ -372,3 +372,25 @@ def test_reducible_r6_never_runs_the_closure(monkeypatch):
 
     monkeypatch.setattr(span_module, "algebra_closure", exact_closure)
     assert not rd.burnside_irreducible(rep)
+
+
+def test_norton_builds_each_image_mod_p_once(monkeypatch):
+    """One image of the x = g - theta*I of nullity 1, then one per generator
+    for the spin of v and one per transpose for the spin of w."""
+    params = rd.RdParams(GaussianRational(Fraction(2, 3), Fraction(1, 3)), GaussianRational(-2, 1),
+                         GaussianRational(3, 1), 6)
+    rep = rd.construct(params)
+    gens = [rep.A, rep.B, rep.C]
+    for g in gens:
+        minimal_polynomial(g)  # memoized, as in a module check
+    images = []
+    mod_image = matrix_module._mod_image
+
+    def spy(x):
+        images.append(x)
+        return mod_image(x)
+
+    monkeypatch.setattr(matrix_module, "_mod_image", spy)
+    monkeypatch.setattr(span_module, "_mod_image", spy)
+    assert _norton(gens, 7) is True
+    assert len(images) == 1 + 3 + 3
