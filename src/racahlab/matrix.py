@@ -594,19 +594,14 @@ class _ModSpan:
         return False
 
 
-def _mod_images(gens: Iterable[ExactMatrix]) -> list[list[list[int]]]:
-    """The images mod P of the generators that have one."""
-    return [image for image in map(_mod_image, gens) if image is not None]
-
-
-def _spin_rank_mod_p(vec, images: Sequence[list[list[int]]]) -> int:
-    """The rank mod P of the spin of vec under generator images from
-    ``_mod_images`` (0 when vec has no image).  The spin mod P is the image
-    of words of the exact spin, so its rank is a lower bound on the exact
-    spin's rank."""
+def _spin_rank_mod_p(vec, images: Sequence[list[list[int]] | None]) -> int:
+    """The rank mod P of the spin of vec (0 when vec has no image) under the
+    ``_mod_image`` images that are not None: a lower bound on the exact spin's
+    rank, since the spin mod P is the image of words of the exact spin."""
     seed = _mod_ints(*_vector_ints(vec))
     if seed is None:
         return 0
+    images = [image for image in images if image is not None]
     return len(_walk([[[x] for x in seed]], images, _mod_matmul, _ModSpan().add, len(vec)))
 
 
@@ -734,7 +729,7 @@ def minimal_polynomial(matrix: ExactMatrix) -> Poly:
     if not matrix.is_square:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
     n = matrix.rows
-    images = _mod_images([matrix])
+    images = [_mod_image(matrix)]
 
     def with_bound(vec):
         return vec, max(1, _spin_rank_mod_p(vec, images))

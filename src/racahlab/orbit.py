@@ -192,6 +192,15 @@ OPERATORS = (
     "E2", "F2", "2Casimir", "16A", "16B", "16C", "64Delta",
 )
 
+MODULE_CHECKS = 6  # check_list's first checks: the sl2 relations, E^2, F^2 and the Casimir
+# The labels of Theorem 1.8's span identities in check_list: when all six
+# hold, the pullbacks and the level-graph operators generate one algebra.
+SPAN_IDENTITIES = (
+    "pullback A = D/16 - 1/4 + (A2J + A2Jbar)/8", "pullback B = D/16 - 1/4 + A2star/8",
+    "pullback C = D/16 - 1/4 + (A2J - A2Jbar)/8",
+    "A2J = 2 - D/2 + 4(A + C)", "A2Jbar = 4(A - C)", "A2star = 2 - D/2 + 8B",
+)
+
 
 def check_list(
     D: int, E, F, H, A2J, A2Jbar, A2star2
@@ -224,6 +233,7 @@ def check_list(
         (1, mul(_combine((1, H), (2, one)), f2)), (-1, mul(_combine((1, H), (-2, one)), e2))
     )
     ops = [E, F, H, A2J, A2Jbar, A2star2, e2, f2, cas2, a16, b16, c16, delta64]
+    pull_a, pull_b, pull_c, span_a2j, span_a2jbar, span_a2star = SPAN_IDENTITIES
     residuals = (
         ("[H,E] = 2E", (1, mul(H, E)), (-1, mul(E, H)), (-2, E)),
         ("[H,F] = -2F", (1, mul(H, F)), (-1, mul(F, H)), (2, F)),
@@ -235,14 +245,12 @@ def check_list(
         ("A2J + A2Jbar = full distance-2 operator",
          (1, A2J), (1, A2Jbar), (-1, below), (-1, equal), (-1, above)),
         ("A2J = level-preserving distance-2 sum", (1, A2J), (-1, equal)),
-        ("pullback A = D/16 - 1/4 + (A2J + A2Jbar)/8",
-         (1, a16), (4 - D, one), (-2, A2J), (-2, A2Jbar)),
-        ("pullback B = D/16 - 1/4 + A2star/8", (1, b16), (4 - D, one), (-1, A2star2)),
-        ("pullback C = D/16 - 1/4 + (A2J - A2Jbar)/8",
-         (1, c16), (4 - D, one), (-2, A2J), (2, A2Jbar)),
-        ("A2J = 2 - D/2 + 4(A + C)", (4, A2J), (2 * D - 8, one), (-1, a16), (-1, c16)),
-        ("A2Jbar = 4(A - C)", (4, A2Jbar), (-1, a16), (1, c16)),
-        ("A2star = 2 - D/2 + 8B", (2, A2star2), (2 * D - 8, one), (-2, b16)),
+        (pull_a, (1, a16), (4 - D, one), (-2, A2J), (-2, A2Jbar)),
+        (pull_b, (1, b16), (4 - D, one), (-1, A2star2)),
+        (pull_c, (1, c16), (4 - D, one), (-2, A2J), (2, A2Jbar)),
+        (span_a2j, (4, A2J), (2 * D - 8, one), (-1, a16), (-1, c16)),
+        (span_a2jbar, (4, A2Jbar), (-1, a16), (1, c16)),
+        (span_a2star, (2, A2star2), (2 * D - 8, one), (-2, b16)),
         ("pullback B is the dual-distance diagonal closed form",
          (1, b16), (-1, diagonal(lambda c: (D - 2 * c) ** 2 - 4))),
     )

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch
 from .matrix import ExactMatrix, VectorSpan, _from_ints, _gauss_int_matmul, _walk
-from .matrix import _ModSpan, _mod_image, _mod_images, _spin_rank_mod_p
+from .matrix import _ModSpan, _mod_image, _mod_ints, _spin_rank_mod_p
 from .matrix import kernel_basis, minimal_polynomial, rational_roots
 
 
@@ -76,18 +76,19 @@ def algebra_closure(gens: Sequence[ExactMatrix]) -> ClosureResult:
     return ClosureResult(len(basis), tuple(_from_ints(1, *b) for b in basis), span)
 
 
-def _mod_rank(rows) -> int:
+def _mod_rank(image, shift: int) -> int:
+    """The rank mod P of an image less shift on the diagonal."""
     span = _ModSpan()
+    rows = ([y - shift * (i == j) for j, y in enumerate(row)] for i, row in enumerate(image))
     return sum(span.add([row]) for row in rows)
 
 
-def _spins(vec, gens: Sequence[ExactMatrix], n: int) -> bool:
-    """True iff vec spins to the whole n-space under gens.  Rank n mod P
-    decides at once; otherwise the exact spin decides."""
-    if _spin_rank_mod_p(vec, _mod_images(gens)) == n:
+def _spins(vec, gens: Sequence[ExactMatrix], images, n: int) -> bool:
+    """True iff vec spins to the whole n-space under gens, given their images
+    mod P.  Rank n mod P decides at once; otherwise the exact spin decides."""
+    if _spin_rank_mod_p(vec, images) == n:
         return True
-    span = VectorSpan(n)
-    return len(_walk([vec], gens, lambda g, u: g.apply(u), span.add, n)) == n
+    return len(_walk([vec], gens, lambda g, u: g.apply(u), VectorSpan(n).add, n)) == n
 
 
 def _norton(gens: Sequence[ExactMatrix], n: int) -> bool | None:
@@ -105,15 +106,17 @@ def _norton(gens: Sequence[ExactMatrix], n: int) -> bool | None:
     the annihilator of U.  So the module is absolutely irreducible, and by
     Burnside the algebra is all of M_n.
     """
-    for g in gens:
+    images = [_mod_image(g) for g in gens]
+    for g, image in zip(gens, images):
         for theta in rational_roots(minimal_polynomial(g)).roots:
-            x = g - ExactMatrix.scalar_matrix(n, theta)
-            x_image = _mod_image(x)
-            if x_image is None or _mod_rank(x_image) != n - 1:
+            shift = _mod_ints(theta.den, [theta.num_re], [theta.num_im])
+            if image is None or shift is None or _mod_rank(image, shift[0]) != n - 1:
                 continue
+            x = g - ExactMatrix.scalar_matrix(n, theta)
             (v,) = kernel_basis(x)
             (w,) = kernel_basis(x.transpose())
-            return _spins(v, gens, n) and _spins(w, [h.transpose() for h in gens], n)
+            transposed = [None if im is None else list(zip(*im)) for im in images]
+            return _spins(v, gens, images, n) and _spins(w, [h.transpose() for h in gens], transposed, n)
     return None
 
 

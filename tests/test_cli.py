@@ -1,8 +1,11 @@
 """Command-line interface: subcommands, JSON shapes, determinism."""
 
+import ast
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -285,8 +288,8 @@ def test_verify_prints_the_rows_of_its_suite_target(suite, target, capsys):
 
 def test_cube_suite_builds_each_closure_once(monkeypatch, capsys):
     """Nine D values, more than a cache of 8 holds: thm8_4 reads every graph
-    closure that thm1_8 built."""
-    for cached in (dec.cube_operator_closure, dec.cube_pullback_closure, dec.cube_decompose):
+    closure that thm1_8 built, and no pullback closure is built."""
+    for cached in (dec.cube_operator_closure, dec.cube_decompose):
         cached.cache_clear()
     built = Counter()
     closure = orbit.closure
@@ -295,10 +298,34 @@ def test_cube_suite_builds_each_closure_once(monkeypatch, capsys):
         built[D, even, tuple(map(tuple, gens))] += 1
         return closure(gens, D, even)
 
+    def pullback_closure(D):
+        raise AssertionError(f"pullback closure at D={D}")
+
     monkeypatch.setattr(orbit, "closure", spy)
+    monkeypatch.setattr(dec, "cube_pullback_closure", pullback_closure)
     status, _ = _run(capsys, "suite", "--targets", "thm1_8,thm8_4", "--D", "2..10")
     assert status == 0
-    assert len(built) == 2 * 9 and set(built.values()) == {1}
+    assert len(built) == 9 and set(built.values()) == {1}
+
+
+@pytest.mark.parametrize("label", orbit.SPAN_IDENTITIES)
+def test_failed_span_identity_fails_the_coincidence_row(label, monkeypatch, capsys):
+    """The thm1_8 coincidence row is decided by the six span identities, so
+    one failed identity fails it although both closures are equal."""
+    real = orbit.cube_build
+
+    def planted(D):
+        ops, checks = real(D)
+        return ops, tuple(replace(c, passed=False) if c.identity == label else c for c in checks)
+
+    monkeypatch.setattr(cli, "cube_build", planted)
+    status, out = _run(capsys, "suite", "--targets", "thm1_8", "--D", "3..4")
+    failed = [row["identity"] for row in json.loads(out)["checks"] if not row["pass"]]
+    assert status == 1
+    assert failed == [
+        f"D=3: {label}", "D=3: generated algebras coincide by the pullback identities (dim 5)",
+        f"D=4: {label}", "D=4: generated algebras coincide by the pullback identities (dim 11)",
+    ]
 
 
 def test_suite_deterministic_and_exit_status(tmp_path):
@@ -480,3 +507,58 @@ def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert status in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# -- defs that the CLI does not reach ----------------------------------------------
+
+# Each top-level def in src/racahlab that no name reference from cli.main
+# reaches, with the reason it stays.
+UNREACHED = {
+    "decompose.even_isotypic": "dense oracle of the even-half split; benchmarks/tracer.py times it",
+    "decompose.even_copies": "the chains behind even_isotypic, which tests compare",
+    "decompose.EvenCopy": "the record even_copies returns",
+    "decompose._split_by_central": "even_copies' split by the central element",
+    "decompose._central_scalar_on": "the central eigenvalue for _split_by_central",
+    "decompose._module_index_from_central": "names an even chain's module in even_copies",
+    "decompose.sl2_isotypic": "highest-weight oracle of the L_n split, used by tests",
+    "sl2.halved_cube": "dense even-level cube oracle; benchmarks/tracer.py times it",
+    "sl2.HalvedCube": "the record halved_cube returns",
+    "sl2._restrict": "halved_cube's restriction to the even levels",
+    "matrix.rref": "echelon oracle of the tests; benchmarks/tracer.py times it",
+    "decompose.prop_7_6_classes": "Proposition 7.6, checked by tests: a suite target candidate",
+    "decompose.expected_cube_even_classes": "Proposition 7.6's cube catalog: a suite target candidate",
+    "racah.casimirs": "Theorem 1.5 on matrices, checked by tests: a suite target candidate",
+    "racah.sigma_twist": "Theorem 3.3's order-2 twist, checked by tests: a suite target candidate",
+    "racah.tau_twist": "Theorem 3.3's order-3 twist, checked by tests: a suite target candidate",
+    "pbw.even_lambda_span_coordinates": "Section 3's even span, checked by tests: a suite target candidate",
+    "rd.iso_class": "a quadruple's class from its traces, used by tests",
+    "racah.load_rep": "the library's rep-file reader, kept on purpose",
+    "decompose.cube_pullback_closure": "the benchmark's cube workload and acceptance criterion 8 build it",
+}
+
+
+def _unreached_defs() -> set[str]:
+    """Walk name references from cli.main; every statement at module level
+    (tables, constants) counts as reached, and a name reaches every def so
+    named in any module."""
+    defs, todo = {}, []
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append((f"{path.stem}.{node.name}", node))
+            else:
+                todo.append(node)
+    reached = {"cli.main"}
+    todo += [node for key, node in defs["main"] if key == "cli.main"]
+    while todo:
+        for ref in ast.walk(todo.pop()):
+            name = ref.id if isinstance(ref, ast.Name) else getattr(ref, "attr", None)
+            for key, node in defs.get(name, ()):
+                if key not in reached:
+                    reached.add(key)
+                    todo.append(node)
+    return {key for named in defs.values() for key, _ in named} - reached
+
+
+def test_unreached_defs_are_the_allowlist():
+    assert _unreached_defs() == set(UNREACHED)

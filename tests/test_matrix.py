@@ -23,7 +23,7 @@ from racahlab.matrix import (
     VectorSpan,
     _IntEchelon,
     _lifting_prime,
-    _mod_images,
+    _mod_image,
     _spin_rank_mod_p,
     _squarefree_mod_p,
     _vector_ints,
@@ -322,12 +322,12 @@ def test_certificate_prime():
 @pytest.mark.parametrize("entry", _PLANTED, ids=["P", "S-i", "1/P"])
 def test_minimal_polynomial_past_a_low_bound_mod_p(entry, monkeypatch):
     diagonal = ExactMatrix.diagonal([0, entry])
-    assert _spin_rank_mod_p((gr(0), entry), _mod_images([diagonal])) == 0
+    assert _spin_rank_mod_p((gr(0), entry), [_mod_image(diagonal)]) == 0
     calls = _count_solves(monkeypatch)
     assert minimal_polynomial(diagonal) == Poly.from_roots([0, entry])
     assert calls == [(2, 1), (2, 1)]
     below = ExactMatrix.from_rows([[1, 0], [entry, 1]])
-    assert _spin_rank_mod_p(_unit(2, 0), _mod_images([below])) == 1
+    assert _spin_rank_mod_p(_unit(2, 0), [_mod_image(below)]) == 1
     calls = _count_solves(monkeypatch)
     assert minimal_polynomial(below) == Poly.from_roots([1, 1])
     assert calls == [(2, 1), (2, 2)]
@@ -362,7 +362,7 @@ def test_cyclic_route_matches_stepwise_search(case):
     the minimal polynomial."""
     m, _planted = case
     n = m.rows
-    cyclic = n in (_spin_rank_mod_p(_unit(n, j), _mod_images([m])) for j in (0, n - 1))
+    cyclic = n in (_spin_rank_mod_p(_unit(n, j), [_mod_image(m)]) for j in (0, n - 1))
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_solves(mp)
         p = minimal_polynomial(m)
@@ -400,7 +400,7 @@ def test_rd_generators_take_the_cyclic_route(monkeypatch):
                       GaussianRational(3, 1), 6)
     assert is_irreducible(params)
     rep = construct(params)
-    assert _spin_rank_mod_p(_unit(7, 0), _mod_images([rep.B])) == 1
+    assert _spin_rank_mod_p(_unit(7, 0), [_mod_image(rep.B)]) == 1
     for op in (rep.A, rep.B, rep.C):
         calls = _count_solves(monkeypatch)
         assert minimal_polynomial(op) == _stepwise_minimal_polynomial(op)

@@ -375,8 +375,8 @@ def test_reducible_r6_never_runs_the_closure(monkeypatch):
 
 
 def test_norton_builds_each_image_mod_p_once(monkeypatch):
-    """One image of the x = g - theta*I of nullity 1, then one per generator
-    for the spin of v and one per transpose for the spin of w."""
+    """One image per generator, read by both spins; none of x = g - theta*I
+    or of a transpose."""
     params = rd.RdParams(GaussianRational(Fraction(2, 3), Fraction(1, 3)), GaussianRational(-2, 1),
                          GaussianRational(3, 1), 6)
     rep = rd.construct(params)
@@ -393,4 +393,4 @@ def test_norton_builds_each_image_mod_p_once(monkeypatch):
     monkeypatch.setattr(matrix_module, "_mod_image", spy)
     monkeypatch.setattr(span_module, "_mod_image", spy)
     assert _norton(gens, 7) is True
-    assert len(images) == 1 + 3 + 3
+    assert len(images) == 3 and all(x is g for x, g in zip(images, gens))
