@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch
 from .gaussian import GaussianRational
-from .matrix import ExactMatrix, eigen_split, solve_columns
+from .matrix import ExactMatrix, eigen_split
 
 
 @dataclass(frozen=True)
@@ -76,20 +76,18 @@ def _path_order(n: int, edges: set[frozenset[int]]) -> tuple[list[list[int]], st
 def _conjugate_into_eigenbasis(
     diag_op: ExactMatrix, others: Sequence[ExactMatrix], hints
 ) -> tuple[tuple[GaussianRational, ...], list[ExactMatrix], bool, bool]:
-    """Diagonalize one operator; return eigenvalues, transformed others, flags."""
+    """Diagonalize one operator; return eigenvalues, transformed others, flags.
+
+    With every eigenspace a line, ``eigen_split`` also gives the eigenbasis
+    U and its inverse W, so each other operator M becomes W M U.
+    """
     split = eigen_split(diag_op, hints)
     values = tuple(value for value, _space in split.pairs)
     simple = all(space.dim == 1 for _v, space in split.pairs)
     if not split.diagonalizable or not simple:
         return values, [], split.diagonalizable, simple
-    basis = ExactMatrix.from_rows([list(space.basis[0]) for _v, space in split.pairs]).transpose()
-    transformed = []
-    for m in others:
-        sol = solve_columns(basis, m * basis)
-        if sol is None:
-            raise ArithmeticError("eigenbasis failed to span; this cannot happen")
-        transformed.append(sol)
-    return values, transformed, True, True
+    lines, dual = split.basis
+    return values, [dual * (m * lines) for m in others], True, True
 
 
 def _support(m: ExactMatrix) -> set[tuple[int, int]]:

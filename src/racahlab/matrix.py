@@ -14,7 +14,7 @@ independence ahead of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, islice, repeat
 from math import gcd, isqrt, lcm
@@ -72,6 +72,24 @@ def _gauss_int_matmul(a, b, cols):
     im_part = None if im_b is None else _int_matmul(re_a, im_b, cols)
     if im_a is not None:
         im_part = _int_combine(im_part, 1, _int_matmul(im_a, re_b, cols), 1)
+    return re_part, im_part
+
+
+def _gauss_int_apply(re_rows, im_rows, v_re, v_im):
+    """(re_rows + i*im_rows)(v_re + i*v_im) by integer dot products, as
+    (real part, imaginary part or None); im_rows and v_im may be None."""
+
+    def dots(rows, v):
+        return [sum(map(mul, row, v)) for row in rows]
+
+    # (re + i*im)(v_re + i*v_im) = re*v_re - im*v_im + i*(re*v_im + im*v_re)
+    re_part = dots(re_rows, v_re)
+    im_part = v_im and dots(re_rows, v_im)
+    if im_rows is not None:
+        if v_im:
+            re_part = [x - y for x, y in zip(re_part, dots(im_rows, v_im))]
+        cross = dots(im_rows, v_re)
+        im_part = [x + y for x, y in zip(im_part, cross)] if im_part else cross
     return re_part, im_part
 
 
@@ -236,18 +254,8 @@ class ExactMatrix:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
         vden, v_re, v_im = _vector_ints(vec)
-
-        def dots(rows, v):
-            return [sum(map(mul, row, v)) for row in rows]
-
-        # (re + i*im)(v_re + i*v_im) = re*v_re - im*v_im + i*(re*v_im + im*v_re)
-        re_part = dots(self.re, v_re)
-        im_part = dots(self.re, v_im) if v_im else [0] * self.rows
-        if self.im is not None:
-            if v_im:
-                re_part = [x - y for x, y in zip(re_part, dots(self.im, v_im))]
-            im_part = [x + y for x, y in zip(im_part, dots(self.im, v_re))]
-        return tuple(map(_make, re_part, im_part, repeat(self.den * vden)))
+        re_part, im_part = _gauss_int_apply(self.re, self.im, v_re, v_im)
+        return tuple(map(_make, re_part, im_part or repeat(0), repeat(self.den * vden)))
 
     # -- structure ------------------------------------------------------
 
@@ -559,8 +567,13 @@ def _mod_ints(den: int, re_part: Sequence[int], im_part: Sequence[int] | None) -
     return [(x + _S * y) * inv % _P for x, y in zip(re_part, im_part or repeat(0))]
 
 
+@lru_cache(maxsize=64)
 def _mod_image(m: ExactMatrix) -> list[list[int]] | None:
-    """The rows of m mod P under i -> S, or None when P divides m.den."""
+    """The rows of m mod P under i -> S, or None when P divides m.den.
+
+    Memoized on the (immutable) matrix, so the minimal polynomial and
+    Norton's test of one generator share one image; callers must not mutate
+    it."""
     rows = [_mod_ints(m.den, r, s) for r, s in zip(m.re, m.im or repeat(None))]
     return None if rows[0] is None else rows
 
@@ -754,26 +767,157 @@ def minimal_polynomial(matrix: ExactMatrix) -> Poly:
     return m
 
 
+def _quotients(m: Poly, values: Sequence[GaussianRational]) -> list[list[GaussianRational]] | None:
+    """m / (x - theta) for each theta, low degree first, by synthetic
+    division; None unless every remainder is 0."""
+    out = []
+    for theta in values:
+        acc, high_first = ZERO, []
+        for c in reversed(m.coeffs):
+            acc = acc * theta + c
+            high_first.append(acc)
+        if high_first.pop():
+            return None
+        out.append(high_first[::-1])
+    return out
+
+
+def _leading_one(re_part: Sequence[int], im_part: Sequence[int] | None) -> Vector | None:
+    """The Gaussian-integer vector re + i*im over its first nonzero entry; None if it is 0."""
+    im_part = im_part or [0] * len(re_part)
+    for x, y in zip(re_part, im_part):
+        if x or y:
+            norm = x * x + y * y
+            # (a + b*i) / (x + y*i) = ((a*x + b*y) + (b*x - a*y)*i) / (x^2 + y^2)
+            return tuple(_make(a * x + b * y, b * x - a * y, norm) for a, b in zip(re_part, im_part))
+    return None
+
+
+def _krylov(re_rows, im_rows, j: int):
+    """K, whose column k is den^k M^k e_j for k < n, M = (re_rows + i*im_rows) / den,
+    as Gaussian-integer rows: (real rows, imaginary rows or None)."""
+    n = len(re_rows)
+    vec = [int(i == j) for i in range(n)], None
+    columns = [vec]
+    for _ in range(n - 1):
+        vec = _gauss_int_apply(re_rows, im_rows, *vec)
+        columns.append(vec)
+    re_part = list(zip(*(v_re for v_re, _ in columns)))
+    if all(v_im is None for _, v_im in columns):
+        return re_part, None
+    return re_part, list(zip(*(v_im or [0] * n for _, v_im in columns)))
+
+
+def _lines(re_rows, im_rows, den: int, quotients) -> list[Vector]:
+    """For each quotient q = m / (x - theta) of the degree-n minimal polynomial
+    m of M = (re_rows + i*im_rows) / den, a nonzero column of q(M), leading with 1.
+
+    (M - theta) q(M) = m(M) = 0 and q(M) != 0 (deg q < deg m), so the column
+    spans ker(M - theta) whenever that kernel is a line.  Column j is
+    q(M) e_j = K q, K the Krylov columns M^k e_j, and one K serves every
+    theta when e_j is cyclic.  The e_j are tried in the order e_0, e_{n-1},
+    e_1, ...: one of the first two is cyclic for a bidiagonal M, and one
+    that is not costs n - 1 products with M, no more than spinning it mod P
+    to choose would.
+    """
+    n = len(re_rows)
+    # column k of K is den^k M^k e_j, so den^(n-1-k) q_k weights it
+    powers = [den ** (n - 1 - k) for k in range(n)]
+    weights = [
+        (list(map(mul, q_re, powers)), q_im and list(map(mul, q_im, powers)))
+        for q_re, q_im in (_vector_ints(q)[1:] for q in quotients)
+    ]
+    found: dict[int, Vector] = {}
+    for j in dict.fromkeys((0, n - 1, *range(n))):
+        krylov = _krylov(re_rows, im_rows, j)
+        for t, weight in enumerate(weights):
+            if t not in found:
+                # a positive multiple of q_t(M) e_j
+                line = _leading_one(*_gauss_int_apply(*krylov, *weight))
+                if line is not None:
+                    found[t] = line
+        if len(found) == len(quotients):
+            return [found[t] for t in range(len(quotients))]
+    raise ArithmeticError("q(M) vanishes on every basis vector; this cannot happen")
+
+
+def _eigenlines(matrix: ExactMatrix, quotients) -> tuple[list[Vector], list[Vector]]:
+    """Right and left eigenvectors, leading with 1, one pair per quotient
+    m / (x - theta) of the matrix's degree-n minimal polynomial m: ``_lines``
+    on the matrix and on its transpose."""
+    left_rows = [rows and list(zip(*rows)) for rows in (matrix.re, matrix.im)]
+    return _lines(matrix.re, matrix.im, matrix.den, quotients), _lines(*left_rows, matrix.den, quotients)
+
+
 @dataclass(frozen=True)
 class EigenSplit:
-    """Eigenvalue/eigenspace pairs plus a diagonalizability verdict."""
+    """Eigenvalue/eigenspace pairs plus a diagonalizability verdict.
+
+    ``basis`` is (U, W) when every eigenspace is a line: U's columns are
+    the pairs' line bases in order and W = U^-1, so W X U is X in the
+    eigenbasis.  It is None otherwise.  The pairs determine it, so it takes
+    no part in equality.
+    """
 
     pairs: tuple[tuple[GaussianRational, Subspace], ...]
     diagonalizable: bool
+    basis: tuple[ExactMatrix, ExactMatrix] | None = field(default=None, compare=False, repr=False)
+
+
+def _simple_split(matrix: ExactMatrix, values, quotients) -> EigenSplit:
+    """The split of a matrix with n distinct eigenvalues, from its eigenlines.
+
+    Left and right eigenvectors of distinct eigenvalues are orthogonal, so
+    W0 U is diagonal for the left ones W0; scaling W0's rows by that
+    diagonal's inverse gives W = U^-1 with no solve.
+    """
+    n = matrix.rows
+    right, left = _eigenlines(matrix, quotients)
+    lines = ExactMatrix.from_rows(list(zip(*right)))
+    dual = ExactMatrix.from_rows(left)
+    pairing = dual * lines
+    scales = [pairing.entry(k, k) for k in range(n)]
+    if not all(scales) or pairing != ExactMatrix.diagonal(scales):
+        raise ArithmeticError("left and right eigenlines do not pair diagonally")
+    dual = ExactMatrix.diagonal([ONE / s for s in scales]) * dual
+    pairs = tuple((v, Subspace(n, (line,))) for v, line in zip(values, right))
+    return EigenSplit(pairs, True, (lines, dual))
+
+
+def _kernel_split(matrix: ExactMatrix, values) -> EigenSplit:
+    """The split by one kernel per eigenvalue: the route for derogatory and
+    non-diagonalizable matrices, and the test oracle of ``_simple_split``."""
+    n = matrix.rows
+    pairs = tuple(
+        (v, Subspace.from_vectors(n, kernel_basis(matrix - ExactMatrix.scalar_matrix(n, v))))
+        for v in values
+    )
+    return EigenSplit(pairs, sum(space.dim for _v, space in pairs) == n)
 
 
 def eigen_split(matrix: ExactMatrix, roots: Sequence | None = None) -> EigenSplit:
-    """Split into eigenspaces, from one minimal polynomial and one root search.
+    """Split into eigenspaces, from one minimal polynomial m.
 
-    Without ``roots`` the pairs follow the roots in ``sort_key`` order, and
-    NonSplitting is raised unless the minimal polynomial splits over the
+    Without ``roots`` the pairs follow the roots of m's one root search in
+    ``sort_key`` order, and NonSplitting is raised unless m splits over the
     Gaussian rationals.  Supplied ``roots`` only fix the order of the pairs:
     RootsMismatch is raised unless they are exactly the distinct
-    Gaussian-rational roots of the minimal polynomial.
+    Gaussian-rational roots of m.  n distinct supplied roots that each
+    divide m of degree n are all its roots, so they pass with no search.
+
+    When m has degree n and n distinct roots, the eigenlines come from m's
+    quotients (``_simple_split``); otherwise one kernel per eigenvalue.
     """
     if not matrix.is_square:
         raise DimensionMismatch("eigen split of a non-square matrix")
-    search = rational_roots(minimal_polynomial(matrix))
+    n = matrix.rows
+    m = minimal_polynomial(matrix)
+    if roots is not None and m.degree == n:
+        vals = [gr(r) for r in roots]
+        quotients = len(vals) == len(set(vals)) == n and _quotients(m, vals)
+        if quotients:
+            return _simple_split(matrix, vals, quotients)
+    search = rational_roots(m)
     if roots is None:
         if not search.splits:
             raise NonSplitting(
@@ -791,15 +935,9 @@ def eigen_split(matrix: ExactMatrix, roots: Sequence | None = None) -> EigenSpli
         missing = [r for r in search.roots if r not in vals]
         if missing:
             raise RootsMismatch("missing roots: " + ", ".join(r.token() for r in missing))
-    n = matrix.rows
-    pairs = []
-    total = 0
-    for v in vals:
-        space_basis = kernel_basis(matrix - ExactMatrix.scalar_matrix(n, v))
-        space = Subspace.from_vectors(n, space_basis)
-        total += space.dim
-        pairs.append((v, space))
-    return EigenSplit(tuple(pairs), total == n)
+    if m.degree == len(vals) == n:
+        return _simple_split(matrix, vals, _quotients(m, vals))
+    return _kernel_split(matrix, vals)
 
 
 # -- Gaussian-rational root finding ------------------------------------------

@@ -15,11 +15,11 @@ the closure decides only the sets where no generator has one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
 from .matrix import ExactMatrix, VectorSpan, _from_ints, _gauss_int_matmul, _walk
-from .matrix import _ModSpan, _mod_image, _mod_ints, _spin_rank_mod_p
+from .matrix import _ModSpan, _eigenlines, _mod_image, _mod_ints, _quotients, _spin_rank_mod_p
 from .matrix import kernel_basis, minimal_polynomial, rational_roots
 
 
@@ -83,12 +83,13 @@ def _mod_rank(image, shift: int) -> int:
     return sum(span.add([row]) for row in rows)
 
 
-def _spins(vec, gens: Sequence[ExactMatrix], images, n: int) -> bool:
+def _spins(vec, gens: Iterable[ExactMatrix], images, n: int) -> bool:
     """True iff vec spins to the whole n-space under gens, given their images
-    mod P.  Rank n mod P decides at once; otherwise the exact spin decides."""
+    mod P.  Rank n mod P decides at once; otherwise the exact spin decides,
+    and only then is ``gens`` iterated."""
     if _spin_rank_mod_p(vec, images) == n:
         return True
-    return len(_walk([vec], gens, lambda g, u: g.apply(u), VectorSpan(n).add, n)) == n
+    return len(_walk([vec], list(gens), lambda g, u: g.apply(u), VectorSpan(n).add, n)) == n
 
 
 def _norton(gens: Sequence[ExactMatrix], n: int) -> bool | None:
@@ -105,18 +106,26 @@ def _norton(gens: Sequence[ExactMatrix], n: int) -> bool | None:
     ker x meeting U would put v in U, and x injective on U would put w in
     the annihilator of U.  So the module is absolutely irreducible, and by
     Burnside the algebra is all of M_n.
+
+    When g's minimal polynomial m has degree n, v and w are g's eigenlines
+    from m / (x - theta) (``matrix._eigenlines``); otherwise the kernels of
+    x and x^T.
     """
     images = [_mod_image(g) for g in gens]
     for g, image in zip(gens, images):
-        for theta in rational_roots(minimal_polynomial(g)).roots:
+        m = minimal_polynomial(g)
+        for theta in rational_roots(m).roots:
             shift = _mod_ints(theta.den, [theta.num_re], [theta.num_im])
             if image is None or shift is None or _mod_rank(image, shift[0]) != n - 1:
                 continue
-            x = g - ExactMatrix.scalar_matrix(n, theta)
-            (v,) = kernel_basis(x)
-            (w,) = kernel_basis(x.transpose())
+            if m.degree == n:
+                (v,), (w,) = _eigenlines(g, _quotients(m, [theta]))
+            else:
+                x = g - ExactMatrix.scalar_matrix(n, theta)
+                (v,) = kernel_basis(x)
+                (w,) = kernel_basis(x.transpose())
             transposed = [None if im is None else list(zip(*im)) for im in images]
-            return _spins(v, gens, images, n) and _spins(w, [h.transpose() for h in gens], transposed, n)
+            return _spins(v, gens, images, n) and _spins(w, (h.transpose() for h in gens), transposed, n)
     return None
 
 

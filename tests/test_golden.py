@@ -1,4 +1,5 @@
-"""Golden outputs: CLI reports and exported matrices, compared byte for byte.
+"""Golden outputs: CLI reports and exported matrices, compared byte for byte,
+and each report's exit code.
 
 The files under ``tests/golden/`` are the output of the commands below.
 Regenerate them only when a report is meant to change:
@@ -58,17 +59,37 @@ STDOUT_CASES = {
         "suite", "--targets", "lemma6_suite,prop2_4",
         "--d", "32..32", "--samples", "2", "--seed", "1",
     ],
+    # hint-free checks of 33 x 33 quadruples: a passing draw, and a = -1/2,
+    # which makes A non-diagonalizable (exit 1)
+    "rd_build_d32.txt": [
+        "rd", "build", "--a=2/3+1/3*i", "--b=-2+1*i", "--c=3+1*i", "--d", "32",
+    ],
+    "leonard_check_d32.json": ["leonard", "check", "--rep", str(GOLDEN / "rd_build_d32.txt")],
+    "rd_build_nondiag_d32.txt": [
+        "rd", "build", "--a=-1/2", "--b=-2+1*i", "--c=3+1*i", "--d", "32",
+    ],
+    "leonard_check_nondiag_d32.json": [
+        "leonard", "check", "--rep", str(GOLDEN / "rd_build_nondiag_d32.txt"),
+    ],
 }
+
+# the cases that exit with a code other than 0
+EXIT_CODES = {"leonard_check_nondiag_d3.json": 1, "leonard_check_nondiag_d32.json": 1}
 
 EXPORT_D = 4
 EXPORT_CASES = [f"cube_D{EXPORT_D}_{name}.txt" for name in ("E", "F", "H", "A2J", "A2Jbar", "A2star")]
 
 
-def _stdout_of(argv: list[str]) -> str:
+def _run(argv: list[str]) -> tuple[int, str]:
+    """The exit code and the standard output of one CLI call."""
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        main(argv)
-    return buffer.getvalue()
+        code = main(argv)
+    return code, buffer.getvalue()
+
+
+def _stdout_of(argv: list[str]) -> str:
+    return _run(argv)[1]
 
 
 def _export(directory: Path) -> None:
@@ -78,7 +99,8 @@ def _export(directory: Path) -> None:
 @pytest.mark.parametrize("name", sorted(STDOUT_CASES) + EXPORT_CASES)
 def test_output_matches_golden(name, tmp_path):
     if name in STDOUT_CASES:
-        got = _stdout_of(STDOUT_CASES[name])
+        code, got = _run(STDOUT_CASES[name])
+        assert code == EXIT_CODES.get(name, 0)
     else:
         _export(tmp_path)
         got = (tmp_path / name).read_text()

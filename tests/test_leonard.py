@@ -6,10 +6,20 @@ from itertools import permutations
 
 import pytest
 
+from racahlab import leonard as leonard_module, matrix as matrix_module
 from racahlab.errors import NonSplitting, RootsMismatch
 from racahlab.leonard import check
 from racahlab.matrix import ExactMatrix
-from racahlab.rd import RdParams, construct, theta_eps_list, theta_list, theta_star_list
+from racahlab.rd import (
+    RdParams,
+    construct,
+    is_irreducible,
+    leonard_hints,
+    min_polys,
+    theta_eps_list,
+    theta_list,
+    theta_star_list,
+)
 
 Q = Fraction(-1, 4)
 
@@ -115,3 +125,23 @@ def test_hinted_check_agrees_with_generic():
                     distinct.append(v)
             hints.append(distinct)
         assert check(*ops).passed == check(*ops, hints=hints).passed
+
+
+def test_hinted_simple_spectra_need_no_kernel_solve_or_root_search(monkeypatch):
+    """On an irreducible R_6 whose three spectra are simple, a hinted check
+    takes every eigenline from the minimal polynomials' quotients and every
+    conjugate from products: no kernel, no solve and no root search."""
+    params = RdParams(Fraction(1, 3), Fraction(1, 5), Fraction(2, 7), 6)
+    assert is_irreducible(params)
+    hints = leonard_hints(params)
+    assert all(len(h) == 7 for h in hints)
+    min_polys(params)  # the memoized minimal polynomials, as in a module check
+    for name in ("kernel_basis", "solve_columns", "rational_roots"):
+        for module in (matrix_module, leonard_module):
+            spy = lambda *args, name=name: pytest.fail(f"{name} ran")  # noqa: E731
+            monkeypatch.setattr(module, name, spy, raising=False)
+    report = check(*_triple(params), hints=hints)
+    assert report.passed
+    assert [c.eigenvalues for c in report.conditions] == [
+        tuple(h[k] for k in c.ordering) for h, c in zip(hints, report.conditions)
+    ]

@@ -755,6 +755,118 @@ def test_eigen_split_matches_division_oracle(seed):
             assert _outcome(eigen_split, m, hints) == _outcome(_division_eigen_split, m, hints)
 
 
+# -- eigenlines from the minimal polynomial's quotients against kernels -----------
+
+
+def _shear(n, i, j, c):
+    return ExactMatrix.from_rows([[int(r == s) + c * ((r, s) == (i, j)) for s in range(n)] for r in range(n)])
+
+
+def _conjugated(draw, values):
+    """P diag(values) P^-1 for a drawn unimodular integer P, a product of shears."""
+    n = len(values)
+    p, inverse = ExactMatrix.identity(n), ExactMatrix.identity(n)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for _ in range(draw(st.integers(0, 2 * n)) if pairs else 0):
+        (i, j), c = draw(st.sampled_from(pairs)), draw(st.integers(-2, 2))
+        p, inverse = p * _shear(n, i, j, c), _shear(n, i, j, -c) * inverse
+    return p * ExactMatrix.diagonal(values) * inverse
+
+
+_eigenvalue_box = st.builds(
+    lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)),
+    st.integers(-4, 4),
+    st.integers(-2, 2),
+    st.integers(1, 2),
+)
+
+
+@st.composite
+def _multiplicity_free(draw):
+    """(kind, matrix, its n <= 7 distinct eigenvalues).
+
+    "conjugated" is P D P^-1.  In "blocks" e_0 and e_{n-1} lie in two
+    invariant blocks, so no e_j is cyclic; in "ends" e_0 and e_{n-1} are
+    eigenvectors and only a middle e_j can be cyclic.  Half the draws are
+    divided by P, which then divides every denominator."""
+    kind = draw(st.sampled_from(["conjugated", "blocks", "ends"]))
+    n = draw(st.integers(1 if kind == "conjugated" else 2, 7))
+    values = draw(st.lists(_eigenvalue_box, min_size=n, max_size=n, unique=True))
+    if kind == "conjugated":
+        m = _conjugated(draw, values)
+    else:
+        rows = [[0] * n for _ in range(n)]
+        if kind == "blocks":
+            k = draw(st.integers(1, n - 1))
+            blocks = [(0, _conjugated(draw, values[:k])), (k, _conjugated(draw, values[k:]))]
+        else:
+            rows[0][0], rows[-1][-1] = values[0], values[-1]
+            blocks = [(1, _conjugated(draw, values[1:-1]))] if n > 2 else []
+            for j in range(1, n - 1):
+                rows[0][j], rows[-1][j] = draw(st.integers(-2, 2)), draw(st.integers(1, 2))
+        for start, block in blocks:
+            for i in range(block.rows):
+                rows[start + i][start : start + block.rows] = block.row_list(i)
+        m = ExactMatrix.from_rows(rows)
+    if draw(st.booleans()):
+        m, values = m * Fraction(1, _P), [v / _P for v in values]
+    return kind, m, values
+
+
+def _is_cyclic(m, j):
+    span, vec = VectorSpan(m.rows), _unit(m.rows, j)
+    for _ in range(m.rows):
+        span.add(vec)
+        vec = m.apply(vec)
+    return span.rank == m.rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_multiplicity_free())
+def test_eigenlines_match_the_kernel_route(case):
+    """eigen_split's eigenlines, its U and W = U^-1, and the one-quotient lines
+    of Norton's test, each against kernels; hints exact, permuted and bogus."""
+    kind, m, values = case
+    n = m.rows
+    if kind != "conjugated":
+        assert not _is_cyclic(m, 0) and not _is_cyclic(m, n - 1)
+    ordered = sorted(values, key=lambda v: v.sort_key())
+    stranger = GaussianRational(100)  # beyond every entry, so never an eigenvalue
+    cases = [(None, ordered), (values, values), (values[::-1], values[::-1])]
+    for hints, order in cases:
+        split = eigen_split(m, hints)
+        assert split == matrix_module._kernel_split(m, order) == EigenSplit(split.pairs, True)
+        lines, dual = split.basis
+        assert list(zip(*(lines.row_list(i) for i in range(n)))) == [s.basis[0] for _v, s in split.pairs]
+        assert dual * lines == ExactMatrix.identity(n)
+        assert dual * m * lines == ExactMatrix.diagonal(order)
+        other = m.transpose() + ExactMatrix.diagonal(range(n))
+        assert dual * other * lines == solve_columns(lines, other * lines)
+    bogus = [
+        (values + [stranger], f"{stranger.token()} is not a root of the minimal polynomial"),
+        (values + values[:1], "duplicate values in supplied root list"),
+        (values[1:], "missing roots: " + values[0].token()),
+    ]
+    for hints, message in bogus:
+        assert _outcome(eigen_split, m, hints) == (RootsMismatch, message)
+    poly = minimal_polynomial(m)
+    for theta in values:
+        (right,), (left,) = matrix_module._eigenlines(m, matrix_module._quotients(poly, [theta]))
+        x = m - ExactMatrix.scalar_matrix(n, theta)
+        assert Subspace.from_vectors(n, [right]) == Subspace.from_vectors(n, kernel_basis(x))
+        assert Subspace.from_vectors(n, [left]) == Subspace.from_vectors(n, kernel_basis(x.transpose()))
+
+
+def test_derogatory_split_keeps_the_kernel_route():
+    """A repeated eigenvalue, with or without a Jordan block: no eigenbasis."""
+    jordan = ExactMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    for m, diagonalizable in ((ExactMatrix.diagonal([1, 1, 2]), True), (jordan, False)):
+        split = eigen_split(m, [1, 2])
+        assert split.basis is None
+        assert split == matrix_module._kernel_split(m, [gr(1), gr(2)])
+        assert split.diagonalizable == diagonalizable
+
+
 def test_subspace_canonical_equality():
     a = Subspace.from_vectors(3, [[1, 1, 0], [0, 0, 1]])
     b = Subspace.from_vectors(3, [[1, 1, 1], [0, 0, 2]])

@@ -394,3 +394,34 @@ def test_norton_builds_each_image_mod_p_once(monkeypatch):
     monkeypatch.setattr(span_module, "_mod_image", spy)
     assert _norton(gens, 7) is True
     assert len(images) == 3 and all(x is g for x, g in zip(images, gens))
+
+
+def test_norton_transposes_generators_only_for_an_exact_spin(monkeypatch):
+    """The exact transposes serve only the exact spin of w: none while the
+    spins mod P reach n, one per generator once they fall short."""
+    params = rd.RdParams(GaussianRational(Fraction(2, 3), Fraction(1, 3)), GaussianRational(-2, 1),
+                         GaussianRational(3, 1), 6)
+    rep = rd.construct(params)
+    gens = [rep.A, rep.B, rep.C]
+    transposed = []
+    transpose = ExactMatrix.transpose
+
+    def spy(self):
+        transposed.extend(k for k, g in enumerate(gens) if self is g)
+        return transpose(self)
+
+    monkeypatch.setattr(ExactMatrix, "transpose", spy)
+    assert _norton(gens, 7) is True and transposed == []
+    monkeypatch.setattr(span_module, "_spin_rank_mod_p", lambda vec, images: 0)
+    assert _norton(gens, 7) is True and transposed == [0, 1, 2]
+
+
+def test_minimal_polynomial_and_norton_share_each_image_mod_p():
+    params = rd.RdParams(GaussianRational(Fraction(2, 3), Fraction(1, 3)), GaussianRational(-2, 1),
+                         GaussianRational(3, 1), 6)
+    rep = rd.construct(params)
+    matrix_module._mod_image.cache_clear()
+    minimal_polynomial.cache_clear()
+    rd.min_polys(params)
+    assert rd.burnside_irreducible(rep)
+    assert matrix_module._mod_image.cache_info().misses == 3
