@@ -316,6 +316,8 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
         exported = " with --export-matrices" if cfg.export_matrices else ""
         raise ConfigError(f"--D must lie in 2..{cap}{exported}")
     _module_size(cfg.d_range[1], "--d")
+    if cfg.samples < 0:
+        raise ConfigError("--samples must be at least 0")
     results = {target: _TARGET_RUNNERS[target](cfg) for target in cfg.targets}
     checks: list[dict] = []
     for target in sorted(results):

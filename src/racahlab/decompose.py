@@ -318,7 +318,12 @@ def _split_by_central(lam_op: ExactMatrix, tops: list[Vector]) -> list[Vector]:
     split = eigen_split(restricted)
     if not split.diagonalizable:
         raise ArithmeticError("central element not diagonalizable on the top space")
-    return [_combine(combo, tops) for _value, space in split.pairs for combo in space.basis]
+    k = restricted.rows
+    spaces = (
+        Subspace.from_vectors(k, kernel_basis(restricted - ExactMatrix.scalar_matrix(k, value)))
+        for value in split.values
+    )
+    return [_combine(combo, tops) for space in spaces for combo in space.basis]
 
 
 def even_isotypic(

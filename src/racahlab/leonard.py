@@ -38,8 +38,9 @@ class LeonardReport:
     passed: bool
 
 
-def _path_order(n: int, edges: set[frozenset[int]]) -> tuple[list[list[int]], str | None]:
-    """Order the vertices of a union-of-paths graph; or explain why not."""
+def _path(n: int, edges: set[frozenset[int]]) -> tuple[list[int] | None, str | None]:
+    """The one Hamiltonian path of a graph on range(n) whose edges must all
+    lie on it, or None and the reason there is none."""
     adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
     for edge in edges:
         u, v = tuple(edge)
@@ -47,13 +48,11 @@ def _path_order(n: int, edges: set[frozenset[int]]) -> tuple[list[list[int]], st
         adjacency[v].append(u)
     for v, nbrs in adjacency.items():
         if len(nbrs) > 2:
-            return [], f"support graph has a vertex of degree {len(nbrs)}"
+            return None, f"support graph has a vertex of degree {len(nbrs)}"
     seen: set[int] = set()
     components: list[list[int]] = []
     for start in range(n):
-        if start in seen:
-            continue
-        if len(adjacency[start]) >= 2:
+        if start in seen or len(adjacency[start]) >= 2:
             continue
         # Walk from an endpoint (or isolated vertex).
         chain = [start]
@@ -69,25 +68,10 @@ def _path_order(n: int, edges: set[frozenset[int]]) -> tuple[list[list[int]], st
             seen.add(current)
         components.append(chain)
     if len(seen) != n:
-        return [], "support graph contains a cycle"
-    return components, None
-
-
-def _conjugate_into_eigenbasis(
-    diag_op: ExactMatrix, others: Sequence[ExactMatrix], hints
-) -> tuple[tuple[GaussianRational, ...], list[ExactMatrix], bool, bool]:
-    """Diagonalize one operator; return eigenvalues, transformed others, flags.
-
-    With every eigenspace a line, ``eigen_split`` also gives the eigenbasis
-    U and its inverse W, so each other operator M becomes W M U.
-    """
-    split = eigen_split(diag_op, hints)
-    values = tuple(value for value, _space in split.pairs)
-    simple = all(space.dim == 1 for _v, space in split.pairs)
-    if not split.diagonalizable or not simple:
-        return values, [], split.diagonalizable, simple
-    lines, dual = split.basis
-    return values, [dual * (m * lines) for m in others], True, True
+        return None, "support graph contains a cycle"
+    if len(components) != 1:
+        return None, "support graph is disconnected, so no common irreducible ordering exists"
+    return components[0], None
 
 
 def _support(m: ExactMatrix) -> set[tuple[int, int]]:
@@ -105,10 +89,6 @@ def _support_edges(matrices: Sequence[ExactMatrix]) -> set[frozenset[int]]:
     return {frozenset(pos) for m in matrices for pos in _support(m) if pos[0] != pos[1]}
 
 
-def _permute(m: ExactMatrix, order: Sequence[int]) -> ExactMatrix:
-    return m.submatrix(order, order)
-
-
 def _is_irreducible_tridiagonal(m: ExactMatrix) -> bool:
     support = _support(m)
     band = {(k, k + 1) for k in range(m.rows - 1)} | {(k + 1, k) for k in range(m.rows - 1)}
@@ -121,60 +101,21 @@ def _condition(
     others: Sequence[ExactMatrix],
     hints,
 ) -> ConditionCertificate:
-    n = diag_op.rows
-    values, transformed, diagonalizable, simple = _conjugate_into_eigenbasis(
-        diag_op, others, hints
-    )
-    if not diagonalizable or not simple:
-        reason = "not diagonalizable" if not diagonalizable else "eigenspace of dimension > 1"
-        return ConditionCertificate(
-            index, diagonalizable, simple, None, None, None, False, reason
-        )
-    if n == 1:
-        return ConditionCertificate(
-            index, True, True, (0,), values, tuple(transformed), True, None
-        )
-    edges = _support_edges(transformed)
-    components, problem = _path_order(n, edges)
-    if problem is not None:
-        return ConditionCertificate(
-            index, True, True, None, values, None, False, problem
-        )
-    if len(components) != 1:
-        return ConditionCertificate(
-            index,
-            True,
-            True,
-            None,
-            values,
-            None,
-            False,
-            "support graph is disconnected, so no common irreducible ordering exists",
-        )
-    order = components[0]
-    permuted = [_permute(m, order) for m in transformed]
-    for m in permuted:
-        if not _is_irreducible_tridiagonal(m):
-            return ConditionCertificate(
-                index,
-                True,
-                True,
-                tuple(order),
-                tuple(values[k] for k in order),
-                tuple(permuted),
-                False,
-                "an operator is tridiagonal but not irreducible in the path ordering",
-            )
-    return ConditionCertificate(
-        index,
-        True,
-        True,
-        tuple(order),
-        tuple(values[k] for k in order),
-        tuple(permuted),
-        True,
-        None,
-    )
+    split = eigen_split(diag_op, hints)
+    flags = (index, split.diagonalizable, split.simple)
+    if split.basis is None:
+        reason = "not diagonalizable" if not split.diagonalizable else "eigenspace of dimension > 1"
+        return ConditionCertificate(*flags, None, None, None, False, reason)
+    lines, dual = split.basis
+    transformed = [dual * (m * lines) for m in others]
+    order, problem = _path(diag_op.rows, _support_edges(transformed))
+    if order is None:
+        return ConditionCertificate(*flags, None, split.values, None, False, problem)
+    permuted = tuple(m.submatrix(order, order) for m in transformed)
+    passed = all(_is_irreducible_tridiagonal(m) for m in permuted)
+    reason = None if passed else "an operator is tridiagonal but not irreducible in the path ordering"
+    values = tuple(split.values[k] for k in order)
+    return ConditionCertificate(*flags, tuple(order), values, permuted, passed, reason)
 
 
 def _normalize_hints(hints):

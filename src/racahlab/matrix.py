@@ -767,19 +767,15 @@ def minimal_polynomial(matrix: ExactMatrix) -> Poly:
     return m
 
 
-def _quotients(m: Poly, values: Sequence[GaussianRational]) -> list[list[GaussianRational]] | None:
-    """m / (x - theta) for each theta, low degree first, by synthetic
-    division; None unless every remainder is 0."""
-    out = []
-    for theta in values:
-        acc, high_first = ZERO, []
-        for c in reversed(m.coeffs):
-            acc = acc * theta + c
-            high_first.append(acc)
-        if high_first.pop():
-            return None
-        out.append(high_first[::-1])
-    return out
+def _quotient(m: Poly, theta: GaussianRational) -> tuple[list[GaussianRational], GaussianRational]:
+    """m / (x - theta), low degree first, and the remainder m(theta), by
+    synthetic division."""
+    acc, high_first = ZERO, []
+    for c in reversed(m.coeffs):
+        acc = acc * theta + c
+        high_first.append(acc)
+    remainder = high_first.pop()
+    return high_first[::-1], remainder
 
 
 def _leading_one(re_part: Sequence[int], im_part: Sequence[int] | None) -> Vector | None:
@@ -809,11 +805,13 @@ def _krylov(re_rows, im_rows, j: int):
 
 
 def _lines(re_rows, im_rows, den: int, quotients) -> list[Vector]:
-    """For each quotient q = m / (x - theta) of the degree-n minimal polynomial
-    m of M = (re_rows + i*im_rows) / den, a nonzero column of q(M), leading with 1.
+    """For each quotient q = m / (x - theta) of the minimal polynomial m of
+    M = (re_rows + i*im_rows) / den, a nonzero column of q(M), leading with 1.
 
     (M - theta) q(M) = m(M) = 0 and q(M) != 0 (deg q < deg m), so the column
-    spans ker(M - theta) whenever that kernel is a line.  Column j is
+    spans ker(M - theta) whenever that kernel is a line, whatever deg m is:
+    for every theta when deg m = n, and for the theta of nullity 1 that
+    Norton's test picks otherwise.  Column j is
     q(M) e_j = K q, K the Krylov columns M^k e_j, and one K serves every
     theta when e_j is cyclic.  The e_j are tried in the order e_0, e_{n-1},
     e_1, ...: one of the first two is cyclic for a bidiagonal M, and one
@@ -843,101 +841,85 @@ def _lines(re_rows, im_rows, den: int, quotients) -> list[Vector]:
 
 def _eigenlines(matrix: ExactMatrix, quotients) -> tuple[list[Vector], list[Vector]]:
     """Right and left eigenvectors, leading with 1, one pair per quotient
-    m / (x - theta) of the matrix's degree-n minimal polynomial m: ``_lines``
-    on the matrix and on its transpose."""
+    m / (x - theta) of the matrix's minimal polynomial m: ``_lines`` on the
+    matrix and on its transpose, which has the same m."""
     left_rows = [rows and list(zip(*rows)) for rows in (matrix.re, matrix.im)]
     return _lines(matrix.re, matrix.im, matrix.den, quotients), _lines(*left_rows, matrix.den, quotients)
 
 
 @dataclass(frozen=True)
 class EigenSplit:
-    """Eigenvalue/eigenspace pairs plus a diagonalizability verdict.
+    """The distinct eigenvalues and what the minimal polynomial m says of
+    the eigenspaces.
 
-    ``basis`` is (U, W) when every eigenspace is a line: U's columns are
-    the pairs' line bases in order and W = U^-1, so W X U is X in the
-    eigenbasis.  It is None otherwise.  The pairs determine it, so it takes
-    no part in equality.
+    ``simple``: deg m = n, so every eigenspace over C is a line.
+    ``diagonalizable``: m has deg m distinct roots among the values, so it
+    splits with no repeated root.  ``basis`` is (U, W) when both hold: U's
+    columns are the eigenlines in the order of the values, each leading with
+    1, and W = U^-1, so W X U is X in the eigenbasis.  It is None otherwise.
+    The values and the flags determine it, so it takes no part in equality.
     """
 
-    pairs: tuple[tuple[GaussianRational, Subspace], ...]
+    values: tuple[GaussianRational, ...]
     diagonalizable: bool
+    simple: bool
     basis: tuple[ExactMatrix, ExactMatrix] | None = field(default=None, compare=False, repr=False)
 
 
-def _simple_split(matrix: ExactMatrix, values, quotients) -> EigenSplit:
-    """The split of a matrix with n distinct eigenvalues, from its eigenlines.
+def _eigenbasis(matrix: ExactMatrix, quotients) -> tuple[ExactMatrix, ExactMatrix]:
+    """(U, W = U^-1) from the eigenlines of a matrix with n distinct eigenvalues.
 
     Left and right eigenvectors of distinct eigenvalues are orthogonal, so
     W0 U is diagonal for the left ones W0; scaling W0's rows by that
-    diagonal's inverse gives W = U^-1 with no solve.
+    diagonal's inverse gives W with no solve.
     """
-    n = matrix.rows
     right, left = _eigenlines(matrix, quotients)
     lines = ExactMatrix.from_rows(list(zip(*right)))
     dual = ExactMatrix.from_rows(left)
     pairing = dual * lines
-    scales = [pairing.entry(k, k) for k in range(n)]
+    scales = [pairing.entry(k, k) for k in range(matrix.rows)]
     if not all(scales) or pairing != ExactMatrix.diagonal(scales):
         raise ArithmeticError("left and right eigenlines do not pair diagonally")
-    dual = ExactMatrix.diagonal([ONE / s for s in scales]) * dual
-    pairs = tuple((v, Subspace(n, (line,))) for v, line in zip(values, right))
-    return EigenSplit(pairs, True, (lines, dual))
-
-
-def _kernel_split(matrix: ExactMatrix, values) -> EigenSplit:
-    """The split by one kernel per eigenvalue: the route for derogatory and
-    non-diagonalizable matrices, and the test oracle of ``_simple_split``."""
-    n = matrix.rows
-    pairs = tuple(
-        (v, Subspace.from_vectors(n, kernel_basis(matrix - ExactMatrix.scalar_matrix(n, v))))
-        for v in values
-    )
-    return EigenSplit(pairs, sum(space.dim for _v, space in pairs) == n)
+    return lines, ExactMatrix.diagonal([ONE / s for s in scales]) * dual
 
 
 def eigen_split(matrix: ExactMatrix, roots: Sequence | None = None) -> EigenSplit:
-    """Split into eigenspaces, from one minimal polynomial m.
+    """The spectrum and eigenbasis of a matrix from its minimal polynomial m.
 
-    Without ``roots`` the pairs follow the roots of m's one root search in
+    Without ``roots`` the values are the roots of m's one root search in
     ``sort_key`` order, and NonSplitting is raised unless m splits over the
-    Gaussian rationals.  Supplied ``roots`` only fix the order of the pairs:
-    RootsMismatch is raised unless they are exactly the distinct
-    Gaussian-rational roots of m.  n distinct supplied roots that each
-    divide m of degree n are all its roots, so they pass with no search.
-
-    When m has degree n and n distinct roots, the eigenlines come from m's
-    quotients (``_simple_split``); otherwise one kernel per eigenvalue.
+    Gaussian rationals.  Supplied ``roots`` only fix the order of the
+    values: RootsMismatch is raised unless they are exactly the distinct
+    Gaussian-rational roots of m.  Each one is checked by synthetic division
+    of m, whose quotient serves the eigenbasis too; the root search runs
+    only for the missing-roots check of fewer than deg m supplied roots.
     """
     if not matrix.is_square:
         raise DimensionMismatch("eigen split of a non-square matrix")
-    n = matrix.rows
     m = minimal_polynomial(matrix)
-    if roots is not None and m.degree == n:
-        vals = [gr(r) for r in roots]
-        quotients = len(vals) == len(set(vals)) == n and _quotients(m, vals)
-        if quotients:
-            return _simple_split(matrix, vals, quotients)
-    search = rational_roots(m)
     if roots is None:
+        search = rational_roots(m)
         if not search.splits:
             raise NonSplitting(
                 "minimal polynomial does not split over the Gaussian rationals; "
                 "supply eigenvalue hints"
             )
-        vals = search.roots
+        vals = list(search.roots)
     else:
         vals = [gr(r) for r in roots]
         if len(set(vals)) != len(vals):
             raise RootsMismatch("duplicate values in supplied root list")
-        for v in vals:
-            if v not in search.roots:
-                raise RootsMismatch(f"{v.token()} is not a root of the minimal polynomial")
-        missing = [r for r in search.roots if r not in vals]
+    divided = [_quotient(m, v) for v in vals]
+    for v, (_q, remainder) in zip(vals, divided):
+        if remainder:
+            raise RootsMismatch(f"{v.token()} is not a root of the minimal polynomial")
+    if roots is not None and len(vals) < m.degree:
+        missing = [r for r in rational_roots(m).roots if r not in vals]
         if missing:
             raise RootsMismatch("missing roots: " + ", ".join(r.token() for r in missing))
-    if m.degree == len(vals) == n:
-        return _simple_split(matrix, vals, _quotients(m, vals))
-    return _kernel_split(matrix, vals)
+    simple, diagonalizable = m.degree == matrix.rows, len(vals) == m.degree
+    basis = _eigenbasis(matrix, [q for q, _r in divided]) if simple and diagonalizable else None
+    return EigenSplit(tuple(vals), diagonalizable, simple, basis)
 
 
 # -- Gaussian-rational root finding ------------------------------------------

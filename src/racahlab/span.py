@@ -8,8 +8,10 @@ membership over the Gaussian rationals is a rational rank test on integer
 rows either way.
 
 ``is_full_matrix_algebra`` tries Norton's test first, which decides both
-ways whenever a generator has an element of nullity 1 (see its docstring);
-the closure decides only the sets where no generator has one.
+ways whenever a generator has an element of nullity 1 (see its docstring),
+and reads the two vectors it spins off the quotients of that generator's
+minimal polynomial, with no kernel; the closure decides only the sets where
+no generator has one.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
 from .matrix import ExactMatrix, VectorSpan, _from_ints, _gauss_int_matmul, _walk
-from .matrix import _ModSpan, _eigenlines, _mod_image, _mod_ints, _quotients, _spin_rank_mod_p
-from .matrix import kernel_basis, minimal_polynomial, rational_roots
+from .matrix import _ModSpan, _eigenlines, _mod_image, _mod_ints, _quotient, _spin_rank_mod_p
+from .matrix import minimal_polynomial, rational_roots
 
 
 @dataclass(frozen=True)
@@ -107,9 +109,10 @@ def _norton(gens: Sequence[ExactMatrix], n: int) -> bool | None:
     the annihilator of U.  So the module is absolutely irreducible, and by
     Burnside the algebra is all of M_n.
 
-    When g's minimal polynomial m has degree n, v and w are g's eigenlines
-    from m / (x - theta) (``matrix._eigenlines``); otherwise the kernels of
-    x and x^T.
+    v and w come from the quotient q = m / (x - theta) of g's minimal
+    polynomial m (``matrix._eigenlines``), whatever deg m is: q(g) != 0 and
+    x q(g) = m(g) = 0, so a nonzero column of q(g) spans the line ker x, and
+    one of q(g^T) the line ker x^T.
     """
     images = [_mod_image(g) for g in gens]
     for g, image in zip(gens, images):
@@ -118,12 +121,7 @@ def _norton(gens: Sequence[ExactMatrix], n: int) -> bool | None:
             shift = _mod_ints(theta.den, [theta.num_re], [theta.num_im])
             if image is None or shift is None or _mod_rank(image, shift[0]) != n - 1:
                 continue
-            if m.degree == n:
-                (v,), (w,) = _eigenlines(g, _quotients(m, [theta]))
-            else:
-                x = g - ExactMatrix.scalar_matrix(n, theta)
-                (v,) = kernel_basis(x)
-                (w,) = kernel_basis(x.transpose())
+            (v,), (w,) = _eigenlines(g, [_quotient(m, theta)[0]])
             transposed = [None if im is None else list(zip(*im)) for im in images]
             return _spins(v, gens, images, n) and _spins(w, (h.transpose() for h in gens), transposed, n)
     return None

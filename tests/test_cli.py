@@ -373,6 +373,15 @@ def test_suite_unknown_target(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_suite_rejects_negative_samples(capsys):
+    status = main(["suite", "--targets", "prop2_4", "--samples", "-1"])
+    assert status == 2
+    assert capsys.readouterr().err == "configuration error: --samples must be at least 0\n"
+    status, out = _run(capsys, "suite", "--targets", "prop2_4", "--samples", "0")
+    report = json.loads(out)
+    assert status == 0 and report["ok"] is True and report["checks"] == []
+
+
 @pytest.mark.parametrize("extra", [["--D", "2..17"], ["--D", "8..9", "--export-matrices", "{tmp}/cube"]])
 def test_suite_checks_D_before_any_target_runs(extra, tmp_path, monkeypatch, capsys):
     def ran(cfg):

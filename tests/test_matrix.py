@@ -407,18 +407,30 @@ def test_rd_generators_take_the_cyclic_route(monkeypatch):
         assert calls == [(7, 7)]
 
 
+def _eigenspaces(m, values):
+    """Each value's eigenspace, from a kernel taken here."""
+    n = m.rows
+    return [Subspace.from_vectors(n, kernel_basis(m - ExactMatrix.scalar_matrix(n, v))) for v in values]
+
+
+def _columns(u):
+    return [tuple(u.entry(i, k) for i in range(u.rows)) for k in range(u.cols)]
+
+
 class TestEigenSplit:
     def test_repeated_eigenvalue(self):
         m = ExactMatrix.diagonal([1, 1, 2])
         result = eigen_split(m, [1, 2])
-        assert [space.dim for _v, space in result.pairs] == [2, 1]
-        assert result.diagonalizable
+        assert [space.dim for space in _eigenspaces(m, [1, 2])] == [2, 1]
+        assert result == EigenSplit((gr(1), gr(2)), True, False)
+        assert result.basis is None
 
     def test_defective(self):
         m = ExactMatrix.from_rows([[0, 1], [0, 0]])
         result = eigen_split(m, [0])
-        assert [space.dim for _v, space in result.pairs] == [1]
-        assert not result.diagonalizable
+        assert [space.dim for space in _eigenspaces(m, [0])] == [1]
+        assert result == EigenSplit((gr(0),), False, True)
+        assert result.basis is None
 
     def test_roots_mismatch(self):
         m = ExactMatrix.diagonal([1, 2])
@@ -433,9 +445,12 @@ class TestEigenSplit:
         m = ExactMatrix.from_rows(
             [[Fraction(5, 16), Fraction(-3, 16)], [0, Fraction(-3, 16)]]
         )
-        result = eigen_split(m, [Fraction(5, 16), Fraction(-3, 16)])
-        assert [space.dim for _v, space in result.pairs] == [1, 1]
-        assert result.diagonalizable
+        values = [gr(Fraction(5, 16)), gr(Fraction(-3, 16))]
+        result = eigen_split(m, values)
+        assert result == EigenSplit(tuple(values), True, True)
+        lines, dual = result.basis
+        assert [space.basis for space in _eigenspaces(m, values)] == [(u,) for u in _columns(lines)]
+        assert dual * lines == ExactMatrix.identity(2)
 
     def test_dims_sum_iff_squarefree(self):
         rng = random.Random(5)
@@ -447,9 +462,29 @@ class TestEigenSplit:
             roots = rational_roots(p)
             assert roots.splits
             result = eigen_split(m, roots.roots)
-            total = sum(space.dim for _v, space in result.pairs)
+            dims = [space.dim for space in _eigenspaces(m, roots.roots)]
+            total = sum(dims)
             assert total <= 4
-            assert (total == 4) == p.is_squarefree
+            assert (total == 4) == p.is_squarefree == result.diagonalizable
+            assert result.simple == all(dim == 1 for dim in dims)
+            assert (result.basis is not None) == (result.diagonalizable and result.simple)
+
+    def test_simple_reads_the_minimal_polynomial_not_the_rational_kernels(self):
+        """sqrt(2) and -sqrt(2) each have a plane of eigenvectors over C, so
+        the spectrum is not simple although the one rational eigenspace, of
+        the hinted 1, is a line."""
+        block = [[0, 2], [1, 0]]
+        rows = [[0] * 5 for _ in range(5)]
+        for start in (0, 2):
+            for i in range(2):
+                rows[start + i][start : start + 2] = block[i]
+        rows[4][4] = 1
+        m = ExactMatrix.from_rows(rows)
+        assert minimal_polynomial(m) == Poly((2, -2, -1, 1))  # (x - 1)(x^2 - 2)
+        assert [space.dim for space in _eigenspaces(m, [1])] == [1]
+        assert eigen_split(m, [1]) == EigenSplit((gr(1),), False, False)
+        with pytest.raises(NonSplitting):
+            eigen_split(m)
 
 
 class TestRationalRoots:
@@ -656,7 +691,10 @@ def test_planted_polynomials_take_the_exact_route(p, squarefree, roots, monkeypa
 
 def _division_eigen_split(matrix, roots=None):
     """Reference eigen split: the step-by-step minimal polynomial; supplied roots
-    validated by p(v), division by x - v and a divisor search on what is left."""
+    validated by p(v), division by x - v and a divisor search on what is left;
+    the flags from the dimensions of the values' kernels.  Those dimensions
+    see only Gaussian-rational eigenvalues, so ``simple`` is exact where every
+    other eigenvalue is simple, as in ``_eigen_split_cases``."""
     p = _stepwise_minimal_polynomial(matrix)
     if roots is None:
         search = _divisor_search(p)
@@ -678,12 +716,8 @@ def _division_eigen_split(matrix, roots=None):
     leftover = _divisor_search(q)
     if leftover.roots:
         raise RootsMismatch("missing roots: " + ", ".join(r.token() for r in leftover.roots))
-    n = matrix.rows
-    pairs = [
-        (v, Subspace.from_vectors(n, kernel_basis(matrix - ExactMatrix.scalar_matrix(n, v))))
-        for v in vals
-    ]
-    return EigenSplit(tuple(pairs), sum(space.dim for _v, space in pairs) == n)
+    dims = [space.dim for space in _eigenspaces(matrix, vals)]
+    return EigenSplit(tuple(vals), sum(dims) == matrix.rows, all(dim == 1 for dim in dims))
 
 
 def _outcome(split, *args):
@@ -835,9 +869,10 @@ def test_eigenlines_match_the_kernel_route(case):
     cases = [(None, ordered), (values, values), (values[::-1], values[::-1])]
     for hints, order in cases:
         split = eigen_split(m, hints)
-        assert split == matrix_module._kernel_split(m, order) == EigenSplit(split.pairs, True)
+        assert split == EigenSplit(tuple(order), True, True)
         lines, dual = split.basis
-        assert list(zip(*(lines.row_list(i) for i in range(n)))) == [s.basis[0] for _v, s in split.pairs]
+        # each column is its kernel's reduced-echelon basis vector
+        assert [space.basis for space in _eigenspaces(m, order)] == [(u,) for u in _columns(lines)]
         assert dual * lines == ExactMatrix.identity(n)
         assert dual * m * lines == ExactMatrix.diagonal(order)
         other = m.transpose() + ExactMatrix.diagonal(range(n))
@@ -851,20 +886,22 @@ def test_eigenlines_match_the_kernel_route(case):
         assert _outcome(eigen_split, m, hints) == (RootsMismatch, message)
     poly = minimal_polynomial(m)
     for theta in values:
-        (right,), (left,) = matrix_module._eigenlines(m, matrix_module._quotients(poly, [theta]))
+        (right,), (left,) = matrix_module._eigenlines(m, [matrix_module._quotient(poly, theta)[0]])
         x = m - ExactMatrix.scalar_matrix(n, theta)
         assert Subspace.from_vectors(n, [right]) == Subspace.from_vectors(n, kernel_basis(x))
         assert Subspace.from_vectors(n, [left]) == Subspace.from_vectors(n, kernel_basis(x.transpose()))
 
 
-def test_derogatory_split_keeps_the_kernel_route():
-    """A repeated eigenvalue, with or without a Jordan block: no eigenbasis."""
+def test_derogatory_split_has_no_eigenbasis():
+    """A repeated eigenvalue, with or without a Jordan block: no eigenbasis,
+    and the flags that the kernels taken here give."""
     jordan = ExactMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
-    for m, diagonalizable in ((ExactMatrix.diagonal([1, 1, 2]), True), (jordan, False)):
+    cases = ((ExactMatrix.diagonal([1, 1, 2]), [2, 1], True, False), (jordan, [1, 1], False, True))
+    for m, dims, diagonalizable, simple in cases:
         split = eigen_split(m, [1, 2])
         assert split.basis is None
-        assert split == matrix_module._kernel_split(m, [gr(1), gr(2)])
-        assert split.diagonalizable == diagonalizable
+        assert [space.dim for space in _eigenspaces(m, [1, 2])] == dims
+        assert split == _division_eigen_split(m, [1, 2]) == EigenSplit((gr(1), gr(2)), diagonalizable, simple)
 
 
 def test_subspace_canonical_equality():

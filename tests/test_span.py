@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import random
+from pathlib import Path
 
-from racahlab import matrix as matrix_module, rd, span as span_module
+from racahlab import leonard, matrix as matrix_module, racah, rd, span as span_module
 from racahlab.gaussian import GaussianRational, I, gr
-from racahlab.matrix import _P, _S, ExactMatrix, _mod_image, minimal_polynomial
+from racahlab.matrix import _P, _S, ExactMatrix, Subspace, _mod_image, kernel_basis, minimal_polynomial
 from racahlab.sl2 import build_Ln
 from racahlab.span import VectorSpan, _norton, algebra_closure, is_full_matrix_algebra
 
@@ -308,6 +309,54 @@ def test_no_one_dimensional_eigenspace_reaches_the_fallback(monkeypatch):
     assert _norton_verdict([doubled, halves]) is None
     assert not is_full_matrix_algebra([doubled, halves])
     assert len(calls) == 2
+
+
+# -- Norton's lines on derogatory generators (deg m < n) -------------------------
+
+# (generator, theta): g - theta*I has nullity 1 although g is derogatory
+_DEROGATORY = [
+    (ExactMatrix.diagonal([1, 1, 2]), gr(2)),
+    (ExactMatrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]), gr(1)),
+]
+
+
+def _shift(n):
+    """The cyclic shift e_j -> e_(j+1 mod n)."""
+    return ExactMatrix.from_rows([[int(i == (j + 1) % n) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("g, theta", _DEROGATORY)
+def test_norton_lines_of_a_derogatory_generator_span_the_kernels(g, theta):
+    n = g.rows
+    m = minimal_polynomial(g)
+    assert m.degree < n
+    (v,), (w,) = matrix_module._eigenlines(g, [matrix_module._quotient(m, theta)[0]])
+    x = g - ExactMatrix.scalar_matrix(n, theta)
+    for line, kernel in ((v, kernel_basis(x)), (w, kernel_basis(x.transpose()))):
+        assert len(kernel) == 1
+        assert Subspace.from_vectors(n, [line]) == Subspace.from_vectors(n, kernel)
+
+
+def test_derogatory_norton_and_a_hint_free_leonard_check_take_no_kernel(monkeypatch):
+    """Norton's test on the derogatory generators, alone (reducible) and
+    beside the shift (irreducible), and a hint-free Leonard check of a module
+    with a non-diagonalizable operator read every line off the minimal
+    polynomials' quotients: no kernel_basis call."""
+    rep = racah.load_rep(Path(__file__).parent / "golden" / "rd_build_nondiag_d3.txt")
+    sets = [gens for g, _theta in _DEROGATORY for gens in ([g], [g, _shift(g.rows)])]
+
+    def kernel(*args):
+        pytest.fail("kernel_basis ran")
+
+    for module in (matrix_module, span_module, leonard):
+        monkeypatch.setattr(module, "kernel_basis", kernel, raising=False)
+    verdicts = [_norton(gens, gens[0].rows) for gens in sets]
+    report = leonard.check(rep.A, rep.B, rep.C)
+    monkeypatch.undo()
+    assert verdicts == [False, True, False, True]
+    assert verdicts == [algebra_closure(gens).dim == gens[0].rows ** 2 for gens in sets]
+    first = report.conditions[0]
+    assert (first.diagonalizable, first.simple_spectrum, first.reason) == (False, True, "not diagonalizable")
 
 
 # -- Norton's verdicts against the closure, by hypothesis -----------------------
