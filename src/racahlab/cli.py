@@ -307,6 +307,8 @@ SUITE_TARGETS = tuple(_TARGET_RUNNERS)
 
 def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     """Execute the selected targets; exit status 0 iff every check passes."""
+    if not cfg.targets:
+        raise ConfigError("--targets names no target")
     for target in cfg.targets:
         if target not in _TARGET_RUNNERS:
             raise ConfigError(f"unknown target {target!r}")

@@ -24,15 +24,9 @@ from typing import Sequence
 
 from . import orbit
 from .errors import ClassMismatch, DimMismatch, NonDiagonalizableH, NotIrreducible
-from .gaussian import GaussianRational, ZERO, gr, rational_sqrt
+from .gaussian import GaussianRational, ZERO, gr
 from .leonard import check as leonard_check
-from .matrix import (
-    ExactMatrix,
-    Subspace,
-    eigen_split,
-    kernel_basis,
-    solve_columns,
-)
+from .matrix import ExactMatrix, Subspace, kernel_basis, solve_columns
 from .rd import (
     IsoClass,
     RdParams,
@@ -42,11 +36,14 @@ from .rd import (
 )
 from .sl2 import (
     EvenHalfModule,
+    Ladder,
     Sl2Rep,
     build_Ln,
+    casimir_value,
     even_halves,
     half_coeffs,
     half_pullback,
+    ln_coeffs,
     sharp_pullback,
 )
 from .span import VectorSpan, is_full_matrix_algebra
@@ -138,46 +135,84 @@ def _weight_spaces(h: ExactMatrix) -> dict[int, list[Vector]]:
     return spaces
 
 
-def _kernel_inside(op: ExactMatrix, vectors: list[Vector]) -> list[Vector]:
-    """Basis of {v in span(vectors) : op(v) = 0}."""
+def _kernel_inside(op: ExactMatrix, vectors: list[Vector], value=ZERO) -> list[Vector]:
+    """Basis of {v in span(vectors) : op(v) = value v}."""
     images = [op.apply(v) for v in vectors]
+    if value:
+        images = [_vec_sub(img, _vec_scale(v, value)) for img, v in zip(images, vectors)]
     image_matrix = ExactMatrix.from_rows([list(img) for img in images]).transpose()
     return [_combine(combo, vectors) for combo in kernel_basis(image_matrix)]
+
+
+# -- highest-weight chains ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LadderCopy:
+    """One copy of L_n (parity None) or of its parity half L_n^(parity) under
+    E^2, F^2 and H, as a chain normalized so that its ladder's coefficients hold."""
+
+    n: int
+    parity: int | None
+    chain: tuple[Vector, ...]
+
+
+def _checked_chain(
+    top: Vector, raising: ExactMatrix, lowering: ExactMatrix, ladder: Ladder
+) -> tuple[Vector, ...]:
+    """The chain v_0 = top, v_{i+1} = lowering(v_i) / ladder.lowering(i).
+    Raises unless lowering ends it at ladder.size vectors and raising sends
+    each v_i to ladder.raising(i) v_{i-1}."""
+    chain = [top]
+    for i in range(ladder.size - 1):
+        chain.append(_vec_scale(lowering.apply(chain[-1]), gr(Fraction(1, ladder.lowering(i)))))
+    if not _is_zero(lowering.apply(chain[-1])):
+        raise ArithmeticError("chain does not terminate: not a valid module")
+    for i in range(1, ladder.size):
+        if raising.apply(chain[i]) != _vec_scale(chain[i - 1], gr(ladder.raising(i))):
+            raise ArithmeticError("raising action deviates on the chain")
+    return tuple(chain)
+
+
+def _isotypic_report(dim: int, copies: list[LadderCopy]) -> DecompositionReport:
+    """One summand per (n, parity), its witnesses spanned by the chains."""
+    grouped: dict[tuple[int, int | None], list[Subspace]] = {}
+    for copy in copies:
+        grouped.setdefault((copy.n, copy.parity), []).append(
+            Subspace.from_vectors(dim, list(copy.chain))
+        )
+    summands = tuple(
+        SummandGroup(
+            f"L_{n}" if parity is None else f"L_{n}^({parity})",
+            "sl2" if parity is None else "even",
+            n, parity, None, len(wits[0].basis), len(wits), tuple(wits),
+        )
+        for (n, parity), wits in sorted(grouped.items(), reverse=True)
+    )
+    report = DecompositionReport(dim, summands)
+    if not report.complete:
+        raise ArithmeticError("isotypic decomposition is incomplete")
+    return report
 
 
 # -- sl2 isotypic decomposition --------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sl2Copy:
-    n: int
-    chain: tuple[Vector, ...]  # x_k = F^k v / k!
-
-
-def sl2_copies(rep: Sl2Rep) -> list[Sl2Copy]:
-    """Highest-weight chains, one per irreducible copy, fully verified."""
+def sl2_copies(rep: Sl2Rep) -> list[LadderCopy]:
+    """Highest-weight chains, x_k = F^k v / k!, one per irreducible copy,
+    fully verified."""
     spaces = _weight_spaces(rep.H)
-    copies: list[Sl2Copy] = []
+    copies: list[LadderCopy] = []
     for w in sorted(spaces, reverse=True):
         tops = _kernel_inside(rep.E, spaces[w])
-        if not tops:
-            continue
-        if w < 0:
+        if tops and w < 0:
             raise ArithmeticError(
                 "highest-weight vector of negative weight: not a valid module"
             )
-        for top in tops:
-            chain = [top]
-            for k in range(w):
-                nxt = _vec_scale(rep.F.apply(chain[-1]), gr(Fraction(1, k + 1)))
-                chain.append(nxt)
-            if not _is_zero(rep.F.apply(chain[-1])):
-                raise ArithmeticError("chain does not terminate: not a valid module")
-            for k in range(1, w + 1):
-                expected = _vec_scale(chain[k - 1], gr(w - k + 1))
-                if rep.E.apply(chain[k]) != expected:
-                    raise ArithmeticError("raising action deviates on the chain")
-            copies.append(Sl2Copy(w, tuple(chain)))
+        ladder = ln_coeffs(w)
+        copies.extend(
+            LadderCopy(w, None, _checked_chain(top, rep.E, rep.F, ladder)) for top in tops
+        )
     _check_weight_completeness(rep.dim, spaces, copies)
     return copies
 
@@ -202,160 +237,54 @@ def _check_weight_completeness(dim, spaces, copies) -> None:
 
 def sl2_isotypic(rep: Sl2Rep) -> DecompositionReport:
     """Isotypic decomposition by highest-weight counting."""
-    copies = sl2_copies(rep)
-    grouped: dict[int, list[Subspace]] = {}
-    for copy in copies:
-        grouped.setdefault(copy.n, []).append(
-            Subspace.from_vectors(rep.dim, list(copy.chain))
-        )
-    summands = tuple(
-        SummandGroup(
-            f"L_{n}", "sl2", n, None, None, n + 1, len(wits), tuple(wits)
-        )
-        for n, wits in sorted(grouped.items(), reverse=True)
-    )
-    report = DecompositionReport(rep.dim, summands)
-    if not report.complete:
-        raise ArithmeticError("isotypic decomposition is incomplete")
-    return report
+    return _isotypic_report(rep.dim, sl2_copies(rep))
 
 
 # -- even-module isotypic decomposition --------------------------------------
 
 
-@dataclass(frozen=True)
-class EvenCopy:
-    n: int
-    parity: int
-    chain: tuple[Vector, ...]  # normalized so the closed-form coefficients hold
-
-
 def even_copies(
     e2_op: ExactMatrix, f2_op: ExactMatrix, h_op: ExactMatrix, lam_op: ExactMatrix
-) -> list[EvenCopy]:
+) -> list[LadderCopy]:
     """Irreducible even-subalgebra chains inside a module, fully verified.
 
-    Tops are kernel vectors of the squared raiser within a weight space,
-    split further by the central element's eigenvalue, which also names the
-    class: the scalar m(m+2)/2 determines m, and the top weight determines
-    the parity.
+    Tops are kernel vectors of the squared raiser within a weight space.  A
+    top of weight w starts L_w^(0) or L_{w+2}^(1), on which the central
+    element is the scalar n(n+2)/2, so the tops split by the kernels of the
+    central element minus those two values; together they must hold every top.
     """
-    dim = h_op.rows
     spaces = _weight_spaces(h_op)
-    copies: list[EvenCopy] = []
+    copies: list[LadderCopy] = []
     for w in sorted(spaces, reverse=True):
         tops = _kernel_inside(e2_op, spaces[w])
         if not tops:
             continue
-        for top in _split_by_central(lam_op, tops):
-            lam_image = lam_op.apply(top)
-            scalar = _central_scalar_on(top, lam_image)
-            n = _module_index_from_central(scalar)
-            if w == n:
-                parity = 0
-            elif w == n - 2:
-                parity = 1
-            else:
-                raise ArithmeticError(
-                    f"top weight {w} inconsistent with central value for n={n}"
-                )
-            size, e2c, f2c, _tw = half_coeffs(n, parity)
-            chain = [top]
-            for i in range(size - 1):
-                nxt = _vec_scale(f2_op.apply(chain[-1]), gr(1) / gr(f2c(i)))
-                chain.append(nxt)
-            if not _is_zero(f2_op.apply(chain[-1])):
-                raise ArithmeticError("even chain does not terminate at the stated size")
-            for i in range(1, size):
-                if e2_op.apply(chain[i]) != _vec_scale(chain[i - 1], gr(e2c(i))):
-                    raise ArithmeticError("squared-raiser action deviates on the chain")
-            for i, vec in enumerate(chain):
-                if lam_op.apply(vec) != _vec_scale(vec, scalar):
+        found = 0
+        for n, parity in ((w, 0), (w + 2, 1)):
+            if n < parity:  # the half is empty
+                continue
+            value = casimir_value(n)
+            ladder = half_coeffs(n, parity)
+            for top in _kernel_inside(lam_op, tops, value):
+                chain = _checked_chain(top, e2_op, f2_op, ladder)
+                if any(lam_op.apply(vec) != _vec_scale(vec, value) for vec in chain[1:]):
                     raise ArithmeticError("central element is not scalar on the chain")
-            copies.append(EvenCopy(n, parity, tuple(chain)))
-    total = sum(len(c.chain) for c in copies)
-    if total != dim:
+                copies.append(LadderCopy(n, parity, chain))
+                found += 1
+        if found != len(tops):
+            raise ArithmeticError(
+                f"central element is neither n(n+2)/2 for n = {w} nor for n = {w + 2} "
+                f"on the tops of weight {w}"
+            )
+    if sum(len(c.chain) for c in copies) != h_op.rows:
         raise ArithmeticError("even chains do not fill the module")
     return copies
 
 
-def _central_scalar_on(vec: Vector, image: Vector) -> GaussianRational:
-    for x, y in zip(vec, image):
-        if x:
-            return y / x
-    raise ArithmeticError("zero vector has no central scalar")
-
-
-def _module_index_from_central(scalar: GaussianRational) -> int:
-    """Solve m(m+2)/2 = scalar for a nonnegative integer m."""
-    if scalar.im != 0:
-        raise ArithmeticError("central value must be rational")
-    disc = rational_sqrt(1 + 2 * scalar.re)
-    if disc is None:
-        raise ArithmeticError("central value is not of the expected form")
-    m = disc - 1
-    if m.denominator != 1 or m < 0:
-        raise ArithmeticError("central value is not of the expected form")
-    return int(m)
-
-
-def _split_by_central(lam_op: ExactMatrix, tops: list[Vector]) -> list[Vector]:
-    """Refine kernel vectors into eigenvectors of the central element."""
-    if len(tops) == 1:
-        vec = tops[0]
-        image = lam_op.apply(vec)
-        scalar = _central_scalar_on(vec, image)
-        if image != _vec_scale(vec, scalar):
-            raise ArithmeticError("central element does not act diagonally on a top line")
-        return tops
-    basis = ExactMatrix.from_rows([list(v) for v in tops]).transpose()
-    images = ExactMatrix.from_rows(
-        [list(lam_op.apply(v)) for v in tops]
-    ).transpose()
-    restricted = solve_columns(basis, images)
-    if restricted is None:
-        raise ArithmeticError("central element does not preserve the top space")
-    split = eigen_split(restricted)
-    if not split.diagonalizable:
-        raise ArithmeticError("central element not diagonalizable on the top space")
-    k = restricted.rows
-    spaces = (
-        Subspace.from_vectors(k, kernel_basis(restricted - ExactMatrix.scalar_matrix(k, value)))
-        for value in split.values
-    )
-    return [_combine(combo, tops) for space in spaces for combo in space.basis]
-
-
 def even_isotypic(
-    e2_op: ExactMatrix,
-    f2_op: ExactMatrix,
-    h_op: ExactMatrix,
-    lam_op: ExactMatrix,
+    e2_op: ExactMatrix, f2_op: ExactMatrix, h_op: ExactMatrix, lam_op: ExactMatrix
 ) -> DecompositionReport:
-    copies = even_copies(e2_op, f2_op, h_op, lam_op)
-    dim = h_op.rows
-    grouped: dict[tuple[int, int], list[Subspace]] = {}
-    for copy in copies:
-        grouped.setdefault((copy.n, copy.parity), []).append(
-            Subspace.from_vectors(dim, list(copy.chain))
-        )
-    summands = tuple(
-        SummandGroup(
-            f"L_{n}^({parity})",
-            "even",
-            n,
-            parity,
-            None,
-            len(wits[0].basis),
-            len(wits),
-            tuple(wits),
-        )
-        for (n, parity), wits in sorted(grouped.items(), reverse=True)
-    )
-    report = DecompositionReport(dim, summands)
-    if not report.complete:
-        raise ArithmeticError("even isotypic decomposition is incomplete")
-    return report
+    return _isotypic_report(h_op.rows, even_copies(e2_op, f2_op, h_op, lam_op))
 
 
 # -- parity-half splitting into bidiagonal classes ----------------------------

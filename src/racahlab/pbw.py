@@ -266,10 +266,17 @@ F = PBWElement.monomial(0, 1, 0)
 H = PBWElement.monomial(0, 0, 1)
 
 
+def casimir_of(e, f, h):
+    """The quadratic central element E F + F E + H^2 / 2 on images e, f, h of
+    E, F, H in any ring whose elements take ``*``, ``+`` and a ``Fraction``
+    factor."""
+    return e * f + f * e + h * h * Fraction(1, 2)
+
+
 @lru_cache(maxsize=1)
 def casimir() -> PBWElement:
-    """The quadratic central element E F + F E + H^2 / 2 in normal order."""
-    return E * F + F * E + H * H / 2
+    """The quadratic central element in normal order."""
+    return casimir_of(E, F, H)
 
 
 # -- the homomorphism from the Racah presentation -----------------------------
@@ -302,30 +309,43 @@ def omega(k: int, gens, centrals, d, delta):
     return d * d + (y * x * z + z * x * y) * Fraction(1, 2) + x * x + y * c_z - z * c_y - x * delta
 
 
+def sharp_of(e, f, h, two):
+    """(A#, B#, C#, Delta#) on images e, f, h of E, F, H in any ring whose
+    elements take ``*``, ``+``, ``-`` and a Gaussian-rational factor, ``two``
+    being the ring's element 2."""
+    s, t = e + f, e * I + f * (-I)
+    return (
+        (s - two) * (s + two) * Fraction(1, 16),
+        (h - two) * (h + two) * Fraction(1, 16),
+        (t - two) * (t + two) * Fraction(1, 16),
+        ((h + two) * (f * f) - (h - two) * (e * e)) * Fraction(1, 64),
+    )
+
+
+@lru_cache(maxsize=1)
+def _sharp_generators() -> dict[str, PBWElement]:
+    return dict(zip(("A", "B", "C", "Delta"), sharp_of(E, F, H, PBWElement.scalar(2))))
+
+
 @lru_cache(maxsize=None)
 def sharp(name: str) -> PBWElement:
     """Image of a Racah-presentation element under the homomorphism.
 
-    Generator images are quadratic expressions in E, F, H; the three
-    symmetric central elements are evaluated on those images.
+    Generator images are quadratic expressions in E, F, H (``sharp_of``); the
+    central elements are evaluated on those images from their definitions:
+    alpha = [A,Delta] + AC - BA and its rotations, delta = A + B + C.
     """
-    two = PBWElement.scalar(2)
-    if name == "A":
-        s = E + F
-        return (s - two) * (s + two) / 16
-    if name == "B":
-        return (H - two) * (H + two) / 16
-    if name == "C":
-        s = E * I + F * (-I)
-        return (s - two) * (s + two) / 16
-    if name == "Delta":
-        return ((H + two) * F ** 2 - (H - two) * E ** 2) / 64
+    generators = _sharp_generators()
+    if name in generators:
+        return generators[name]
+    gens = tuple(map(sharp, ("A", "B", "C")))
     if name in ("alpha", "beta", "gamma"):
-        return PBWElement.zero()
+        k = ("alpha", "beta", "gamma").index(name)
+        x, y, z = (gens[(k + j) % 3] for j in range(3))
+        return commutator(x, sharp("Delta")) + x * z - y * x
     if name == "delta":
-        return (casimir() - PBWElement.scalar(6)) / 8
+        return gens[0] + gens[1] + gens[2]
     if name in ("Omega_A", "Omega_B", "Omega_C"):
-        gens = tuple(map(sharp, ("A", "B", "C")))
         centrals = tuple(map(sharp, ("alpha", "beta", "gamma")))
         return omega("ABC".index(name[-1]), gens, centrals, sharp("Delta"), sharp("delta"))
     raise ValueError(f"unknown element name: {name!r}")
@@ -435,19 +455,15 @@ class CheckResult:
 def verify_sharp_relations() -> list[CheckResult]:
     """The seven defining identities of the homomorphism, checked exactly."""
     a, b, c = sharp("A"), sharp("B"), sharp("C")
-    d = sharp("Delta")
-    two_d = d * 2
+    two_d = sharp("Delta") * 2
     checks = [
         ("[A#,B#] = 2*Delta#", commutator(a, b) - two_d),
         ("[B#,C#] = 2*Delta#", commutator(b, c) - two_d),
         ("[C#,A#] = 2*Delta#", commutator(c, a) - two_d),
-        ("[A#,Delta#] + A#C# - B#A# = 0", commutator(a, d) + a * c - b * a),
-        ("[B#,Delta#] + B#A# - C#B# = 0", commutator(b, d) + b * a - c * b),
-        ("[C#,Delta#] + C#B# - A#C# = 0", commutator(c, d) + c * b - a * c),
-        (
-            "A# + B# + C# = (Casimir - 6)/8",
-            a + b + c - (casimir() - PBWElement.scalar(6)) / 8,
-        ),
+        ("[A#,Delta#] + A#C# - B#A# = 0", sharp("alpha")),
+        ("[B#,Delta#] + B#A# - C#B# = 0", sharp("beta")),
+        ("[C#,Delta#] + C#B# - A#C# = 0", sharp("gamma")),
+        ("A# + B# + C# = (Casimir - 6)/8", sharp("delta") - (casimir() - PBWElement.scalar(6)) / 8),
     ]
     return [CheckResult.from_residual(name, res) for name, res in checks]
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError, DimensionMismatch, RelationFailure
-from .gaussian import GaussianRational, ZERO, gr
+from .gaussian import GaussianRational, gr
 from .matrix import ExactMatrix, _from_ints, commutator
 from .orbit import check_list, orbit_vector
-from .pbw import CheckResult
+from .pbw import CheckResult, casimir_of, sharp_of
 from .racah import RacahRep, ensure_verified
 
 _QUARTER = GaussianRational(Fraction(1, 4))
@@ -63,29 +64,49 @@ def _require_relations(rep: Sl2Rep) -> Sl2Rep:
 
 
 def casimir_matrix(rep: Sl2Rep) -> ExactMatrix:
-    """The quadratic central element E F + F E + H^2/2 in this module."""
-    half = GaussianRational(Fraction(1, 2))
-    return rep.E * rep.F + rep.F * rep.E + (rep.H * rep.H) * half
+    """The quadratic central element in this module (``pbw.casimir_of``)."""
+    return casimir_of(rep.E, rep.F, rep.H)
+
+
+class Ladder(NamedTuple):
+    """A chain v_0..v_{size-1}: the raising operator sends v_i to
+    raising(i) v_{i-1}, the lowering operator sends v_i to lowering(i) v_{i+1},
+    and v_i has weight top - step*i."""
+
+    size: int
+    raising: Callable[[int], int]
+    lowering: Callable[[int], int]
+    top: int
+    step: int
+
+    def weights(self) -> list[int]:
+        return [self.top - self.step * i for i in range(self.size)]
+
+    def matrices(self) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
+        """The raising, lowering and weight matrices on v_0..v_{size-1}."""
+        cells = range(self.size)
+        up = [[self.raising(j) if j == i + 1 else 0 for j in cells] for i in cells]
+        down = [[self.lowering(j) if i == j + 1 else 0 for j in cells] for i in cells]
+        return (
+            _from_ints(1, up, None), _from_ints(1, down, None), ExactMatrix.diagonal(self.weights())
+        )
+
+
+def ln_coeffs(n: int) -> Ladder:
+    """L_n under E, F and H: E v_i = (n-i+1) v_{i-1}, F v_i = (i+1) v_{i+1}."""
+    return Ladder(n + 1, lambda i: n - i + 1, lambda i: i + 1, n, 2)
+
+
+def casimir_value(n: int) -> GaussianRational:
+    """The scalar n(n+2)/2 by which the quadratic central element acts on L_n."""
+    return gr(Fraction(n * (n + 2), 2))
 
 
 def build_Ln(n: int) -> Sl2Rep:
     """The irreducible module of highest weight n on basis v_0..v_n."""
     if n < 0:
         raise ConfigError("the highest weight must be nonnegative")
-    dim = n + 1
-    e_rows = [[ZERO] * dim for _ in range(dim)]
-    f_rows = [[ZERO] * dim for _ in range(dim)]
-    for i in range(1, dim):
-        e_rows[i - 1][i] = gr(n - i + 1)
-    for i in range(dim - 1):
-        f_rows[i + 1][i] = gr(i + 1)
-    rep = Sl2Rep(
-        dim,
-        ExactMatrix.from_rows(e_rows),
-        ExactMatrix.from_rows(f_rows),
-        ExactMatrix.diagonal([n - 2 * i for i in range(dim)]),
-    )
-    return _require_relations(rep)
+    return _require_relations(Sl2Rep(n + 1, *ln_coeffs(n).matrices()))
 
 
 # -- even halves ----------------------------------------------------------
@@ -105,35 +126,16 @@ class EvenHalfModule:
     indices: tuple[int, ...]
 
 
-def half_coeffs(n: int, parity: int):
-    """Closed forms of the parity half of L_n: its size, the coefficients
-    i -> E^2 and i -> F^2 along its chain, and its top weight."""
-    if parity == 0:
-        size = n // 2 + 1
-        e2_coeff = lambda i: (n - 2 * i + 1) * (n - 2 * i + 2)
-        f2_coeff = lambda i: (2 * i + 1) * (2 * i + 2)
-        top_weight = n
-    else:
-        size = (n - 1) // 2 + 1
-        e2_coeff = lambda i: (n - 2 * i) * (n - 2 * i + 1)
-        f2_coeff = lambda i: (2 * i + 2) * (2 * i + 3)
-        top_weight = n - 2
-    return size, e2_coeff, f2_coeff, top_weight
-
-
-def _expected_half(n: int, parity: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-    """Closed-form E^2, F^2, H actions on the parity half of L_n."""
-    size, e2_coeff, f2_coeff, top_weight = half_coeffs(n, parity)
-    e2 = [[ZERO] * size for _ in range(size)]
-    f2 = [[ZERO] * size for _ in range(size)]
-    for i in range(1, size):
-        e2[i - 1][i] = gr(e2_coeff(i))
-    for i in range(size - 1):
-        f2[i + 1][i] = gr(f2_coeff(i))
-    return (
-        ExactMatrix.from_rows(e2),
-        ExactMatrix.from_rows(f2),
-        ExactMatrix.diagonal([top_weight - 4 * i for i in range(size)]),
+def half_coeffs(n: int, parity: int) -> Ladder:
+    """The parity half of L_n under E^2, F^2 and H, on its basis vectors
+    v_parity, v_{parity+2}, ..."""
+    m = n - parity
+    return Ladder(
+        m // 2 + 1,
+        lambda i: (m - 2 * i + 1) * (m - 2 * i + 2),
+        lambda i: (2 * i + parity + 1) * (2 * i + parity + 2),
+        n - 2 * parity,
+        4,
     )
 
 
@@ -145,33 +147,21 @@ def even_halves(rep: Sl2Rep) -> tuple[EvenHalfModule, EvenHalfModule | None]:
     half is None when n = 0.
     """
     n = rep.dim - 1
-    expected_h = ExactMatrix.diagonal([n - 2 * i for i in range(rep.dim)])
-    if rep.H != expected_h:
+    if rep.H != ExactMatrix.diagonal(ln_coeffs(n).weights()):
         raise ValueError("even halves require the standard weight-ordered basis")
     e2 = rep.E * rep.E
     f2 = rep.F * rep.F
     lam = casimir_matrix(rep)
     halves: list[EvenHalfModule] = []
     for parity in (0, 1):
-        indices = tuple(i for i in range(rep.dim) if i % 2 == parity)
+        indices = tuple(range(parity, rep.dim, 2))
         if not indices:
             continue
         sub = lambda m: m.submatrix(indices, indices)
-        half = EvenHalfModule(
-            n,
-            parity,
-            len(indices),
-            sub(e2),
-            sub(f2),
-            sub(rep.H),
-            sub(lam),
-            indices,
-        )
-        exp_e2, exp_f2, exp_h = _expected_half(n, parity)
-        if half.E2 != exp_e2 or half.F2 != exp_f2 or half.H != exp_h:
+        half = EvenHalfModule(n, parity, len(indices), *map(sub, (e2, f2, rep.H, lam)), indices)
+        if (half.E2, half.F2, half.H) != half_coeffs(n, parity).matrices():
             raise ArithmeticError(f"half (n={n}, parity={parity}) deviates from closed form")
-        scalar = half.Lam.scalar_value()
-        if scalar != gr(Fraction(n * (n + 2), 2)):
+        if half.Lam.scalar_value() != casimir_value(n):
             raise ArithmeticError("central element is not the expected scalar on the half")
         halves.append(half)
     return halves[0], (halves[1] if len(halves) > 1 else None)
@@ -183,17 +173,8 @@ def even_halves(rep: Sl2Rep) -> tuple[EvenHalfModule, EvenHalfModule | None]:
 @lru_cache(maxsize=32)
 def sharp_pullback(rep: Sl2Rep) -> RacahRep:
     """Evaluate the homomorphism images in the module; presentation-checked."""
-    n = rep.dim
-    two = ExactMatrix.scalar_matrix(n, 2)
-    s = rep.E + rep.F
-    a = (s - two) * (s + two) * GaussianRational(Fraction(1, 16))
-    b = (rep.H - two) * (rep.H + two) * GaussianRational(Fraction(1, 16))
-    t = rep.E * GaussianRational(0, 1) + rep.F * GaussianRational(0, -1)
-    c = (t - two) * (t + two) * GaussianRational(Fraction(1, 16))
-    e2 = rep.E * rep.E
-    f2 = rep.F * rep.F
-    delta = ((rep.H + two) * f2 - (rep.H - two) * e2) * GaussianRational(Fraction(1, 64))
-    return ensure_verified(RacahRep(n, a, b, c, delta))
+    images = sharp_of(rep.E, rep.F, rep.H, ExactMatrix.scalar_matrix(rep.dim, 2))
+    return ensure_verified(RacahRep(rep.dim, *images))
 
 
 def even_pullback(

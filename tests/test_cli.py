@@ -205,6 +205,7 @@ def test_missing_required_argument(capsys):
         ["suite", "--targets", "lemma6_suite", "--d", "0..33"],
         ["decompose", "--target", "Ln", "--n", "33"],
         ["leonard", "check", "--rep", "{oversized}"],
+        ["suite", "--targets", ","],
     ],
     ids=["zero-denominator-flag", "bad-token-flag", "unwritable-out", "bad-range",
          "export-under-a-file", "missing-rep", "missing-rep-leonard", "short-block", "zero-denominator-file",
@@ -213,7 +214,7 @@ def test_missing_required_argument(capsys):
          "compare-above-orbit-cap", "suite-thm8_7-above-orbit-cap", "build-D9-above-dense-cap",
          "suite-above-orbit-cap", "suite-export-above-dense-cap", "analyze-above-size-cap",
          "build-above-size-cap", "suite-d-above-size-cap", "Ln-above-size-cap",
-         "rep-above-size-cap"],
+         "rep-above-size-cap", "empty-target-list"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     files = {
@@ -525,11 +526,8 @@ def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(case, tmp_path, capsys):
 UNREACHED = {
     "decompose.even_isotypic": "dense oracle of the even-half split; benchmarks/tracer.py times it",
     "decompose.even_copies": "the chains behind even_isotypic, which tests compare",
-    "decompose.EvenCopy": "the record even_copies returns",
-    "decompose._split_by_central": "even_copies' split by the central element",
-    "decompose._central_scalar_on": "the central eigenvalue for _split_by_central",
-    "decompose._module_index_from_central": "names an even chain's module in even_copies",
     "decompose.sl2_isotypic": "highest-weight oracle of the L_n split, used by tests",
+    "decompose._isotypic_report": "the report that sl2_isotypic and even_isotypic assemble",
     "sl2.halved_cube": "dense even-level cube oracle; benchmarks/tracer.py times it",
     "sl2.HalvedCube": "the record halved_cube returns",
     "sl2._restrict": "halved_cube's restriction to the even levels",

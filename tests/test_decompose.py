@@ -214,6 +214,14 @@ class TestCubeOracle:
 
 
 class TestEvenIsotypic:
+    def test_central_value_off_both_candidates_raises(self):
+        # a top of weight w starts L_w^(0) or L_{w+2}^(1); Lambda + 1 is neither
+        hc = halved_cube(3)
+        e2, f2, h, lam = (hc.te_ops[k] for k in ("E2", "F2", "H", "Casimir"))
+        assert even_copies(e2, f2, h, lam)
+        with pytest.raises(ArithmeticError, match="neither"):
+            even_copies(e2, f2, h, lam + ExactMatrix.scalar_matrix(hc.dim, 1))
+
     @pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
     def test_cube_catalog(self, D):
         rep, _ops = build_hypercube(D)

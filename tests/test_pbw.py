@@ -91,6 +91,19 @@ def test_sharp_central_images():
     assert sharp("delta") == (casimir() - PBWElement.scalar(6)) / 8
 
 
+def test_kernel_rows_evaluate_the_central_elements(monkeypatch):
+    """alpha#, beta# and gamma# are evaluated on the generator images, so a
+    wrong Delta# makes their kernel rows fail."""
+    real = pbw.sharp
+    monkeypatch.setattr(pbw, "sharp", lambda name: -real("Delta") if name == "Delta" else real(name))
+    real.cache_clear()
+    try:
+        rows = {r.identity: r.passed for r in pbw.verify_kernel_generators()}
+    finally:
+        real.cache_clear()
+    assert rows["alpha# = 0"] is False and rows["beta# = 0"] is False
+
+
 def test_sharp_images_are_even():
     for name in pbw.SHARP_NAMES:
         assert sharp(name).is_even()
