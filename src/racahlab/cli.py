@@ -317,6 +317,8 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     if not 2 <= lo <= hi <= cap:
         exported = " with --export-matrices" if cfg.export_matrices else ""
         raise ConfigError(f"--D must lie in 2..{cap}{exported}")
+    if cfg.d_range[0] < 0:
+        raise ConfigError("--d must be at least 0")
     _module_size(cfg.d_range[1], "--d")
     if cfg.samples < 0:
         raise ConfigError("--samples must be at least 0")

@@ -14,9 +14,11 @@ import re as _re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+# ASCII digits only: a bare \d also matches other scripts' digits
 _TOKEN = _re.compile(
     r"^(?P<re>[+-]?\d+(?:/\d+)?)"
-    r"(?:(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)\*i)?$"
+    r"(?:(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)\*i)?$",
+    _re.ASCII,
 )
 
 

@@ -14,6 +14,7 @@ independence ahead of it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, islice, repeat
@@ -24,6 +25,9 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatch, NonSplitting, RootsMismatch
 from .gaussian import GaussianRational, ONE, ZERO, _make, gr
 from .polynomial import Poly
+
+# a header dimension: ASCII digits only, where int() also takes '1_0' and other scripts' digits
+_DIMENSION = re.compile(r"[+-]?[0-9]+")
 
 Vector = tuple[GaussianRational, ...]
 
@@ -316,7 +320,10 @@ class ExactMatrix:
         """Read the `rows cols` header at tokens[pos:], without the entries."""
         if len(tokens) - pos < 2:
             raise ValueError("matrix text too short")
-        rows, cols = int(tokens[pos]), int(tokens[pos + 1])
+        header = tokens[pos : pos + 2]
+        if not all(map(_DIMENSION.fullmatch, header)):
+            raise ValueError(f"matrix header '{' '.join(header)}' is not two integers")
+        rows, cols = map(int, header)
         if rows <= 0 or cols <= 0:
             raise ValueError(f"matrix header '{rows} {cols}' needs positive dimensions")
         return rows, cols

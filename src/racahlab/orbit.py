@@ -19,9 +19,13 @@ are both even: those orbit vectors are the restrictions to the even levels.
 
 Orbit vectors are integer lists indexed by ``orbits(D, even)``, for
 2 <= D <= MAX_ORBIT_D.  ``check_list`` holds the cube's consistency checks,
-the one source of Theorem 1.8's identities.  ``cube_build`` caches the cube
-operators and their checks once per D, as tuples; the closures' per-D caches
-are the entry points in ``decompose``.
+the one source of Theorem 1.8's identities.  ``cube_build`` is the one place
+that builds the cube operators from their definitions; it caches them and
+their checks once per D, as tuples.  The closures' per-D caches are the
+entry points in ``decompose``.  One table maps each vertex pair to its
+orbit, read both ways: ``orbit_vector`` takes a dense matrix to orbit
+vectors, and ``dense`` expands an orbit vector to the dense matrix (the
+dense cube of ``sl2.build_hypercube``).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import ConfigError, DimensionMismatch
-from .matrix import ExactMatrix, VectorSpan, _strip_content, _walk
+from .matrix import ExactMatrix, VectorSpan, _from_ints, _strip_content, _walk
 from .pbw import CheckResult
 
 Orbit = tuple[int, int, int, int]
@@ -105,34 +109,52 @@ def identity(D: int) -> list[int]:
     return [int(a == b == 0) for a, b, _c, _e in orbits(D)]
 
 
-def orbit_vector(matrix: ExactMatrix, D: int, even: bool = False):
-    """The (real, imaginary or None) integer orbit vectors of den * matrix,
-    or None if the matrix is not constant on every pair orbit.
+def _pair_orbits(D: int, even: bool = False) -> list[list[int]]:
+    """Entry (x, y): the index in ``orbits(D, even)`` of the orbit of the
+    vertex pair (x, y).
 
     Rows and columns are the cube's vertices, subsets as bit masks in
     increasing order, only those of even size when even.
     """
-    verts = [v for v in range(1 << D) if not even or v.bit_count() % 2 == 0]
-    if not matrix.is_square or matrix.rows != len(verts):
-        raise DimensionMismatch(f"expected a {len(verts)}x{len(verts)} matrix")
     index = {o[:3]: k for k, o in enumerate(orbits(D, even))}
-    sizes = [v.bit_count() for v in verts]
+    # by |x|, |y| and |x & y|
+    lookup = [
+        [[index.get((sx - c, sy - c, c)) for c in range(D + 1)] for sy in range(D + 1)]
+        for sx in range(D + 1)
+    ]
+    verts = [(v, v.bit_count()) for v in range(1 << D) if not even or v.bit_count() % 2 == 0]
+    return [[lookup[sx][sy][(x & y).bit_count()] for y, sy in verts] for x, sx in verts]
+
+
+def orbit_vector(matrix: ExactMatrix, D: int, even: bool = False):
+    """The (real, imaginary or None) integer orbit vectors of den * matrix,
+    or None if the matrix is not constant on every pair orbit; rows and
+    columns as in ``_pair_orbits``."""
+    size = (1 << D) >> even  # checked before the table, which has size^2 entries
+    if not matrix.is_square or matrix.rows != size:
+        raise DimensionMismatch(f"expected a {size}x{size} matrix")
+    table = _pair_orbits(D, even)
     parts = []
     for rows in (matrix.re, matrix.im):
         if rows is None:
             parts.append(None)
             continue
-        vec = [None] * len(index)
-        for x, sx, row in zip(verts, sizes, rows):
-            for y, sy, value in zip(verts, sizes, row):
-                c = (x & y).bit_count()
-                k = index[(sx - c, sy - c, c)]
+        vec = [None] * len(orbits(D, even))
+        for ks, row in zip(table, rows):
+            for k, value in zip(ks, row):
                 if vec[k] is None:
                     vec[k] = value
                 elif vec[k] != value:
                     return None
         parts.append(vec)
     return parts
+
+
+def dense(vec, D: int, den: int = 1, even: bool = False) -> ExactMatrix:
+    """The matrix vec / den, whose (x, y) entry is vec at the orbit of
+    (x, y); rows and columns as in ``_pair_orbits``.  It inverts
+    ``orbit_vector`` on integer orbit vectors."""
+    return _from_ints(den, [[vec[k] for k in row] for row in _pair_orbits(D, even)], None)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ homomorphism from the Racah presentation.
 
 Vertices of the D-cube are the subsets of {1..D} in binary-counter order
 (subset s maps to the integer with bit i-1 set for each i in s).  The dense
-cube is built from the distance relations, for D <= MAX_DENSE_D; its
-operators are cross-checked in orbit coordinates against the closed forms
-of ``orbit.check_list``, and any discrepancy raises at build time.
+cube, for D <= MAX_DENSE_D, expands the orbit vectors of
+``orbit.cube_operators``: the cube's operators are defined, and their
+identities checked, in orbit coordinates only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 from .errors import ConfigError, DimensionMismatch, RelationFailure
 from .gaussian import GaussianRational, gr
 from .matrix import ExactMatrix, _from_ints, commutator
-from .orbit import check_list, orbit_vector
+from .orbit import check_list, cube_operators, dense, orbit_vector
 from .pbw import CheckResult, casimir_of, sharp_of
 from .racah import RacahRep, ensure_verified
 
@@ -202,11 +202,10 @@ def half_pullback(half: EvenHalfModule) -> RacahRep:
 
 @dataclass(frozen=True)
 class HypercubeSpace:
-    """Vertex bookkeeping: subsets in binary order plus the distance-2 relation."""
+    """Vertex bookkeeping: the subsets in binary order."""
 
     D: int
     vertices: tuple[int, ...]
-    r2: frozenset[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -221,78 +220,33 @@ class GraphOperators:
 
 @lru_cache(maxsize=None)
 def hypercube_space(D: int) -> HypercubeSpace:
+    """The vertices of the dense cube, for 2 <= D <= MAX_DENSE_D."""
     if D < 2:
         raise ConfigError("the cube dimension must be at least 2")
-    size = 1 << D
-    vertices = tuple(range(size))
-    r2 = frozenset(
-        (x, y) for x in vertices for y in range(x + 1, size) if (x ^ y).bit_count() == 2
-    )
-    return HypercubeSpace(D, vertices, r2)
-
-
-def _rows_to_matrix(cells: set[tuple[int, int]], n: int) -> ExactMatrix:
-    """The n x n 0/1 matrix with ones at the given positions."""
-    rows = [[0] * n for _ in range(n)]
-    for i, j in cells:
-        rows[i][j] = 1
-    return _from_ints(1, rows, None)
-
-
-@lru_cache(maxsize=4)
-def _checked_hypercube(D: int) -> tuple[Sl2Rep, GraphOperators, tuple[CheckResult, ...]]:
-    """The dense cube build and its dual-route consistency checks, made once per D."""
     if D > MAX_DENSE_D:
         raise ConfigError(f"dense construction is capped at D = {MAX_DENSE_D}")
-    space = hypercube_space(D)
-    n = 1 << D
-    e_cells: set[tuple[int, int]] = set()
-    f_cells: set[tuple[int, int]] = set()
-    for x in space.vertices:
-        for bit in range(D):
-            if x >> bit & 1:
-                e_cells.add((x & ~(1 << bit), x))
-            else:
-                f_cells.add((x | (1 << bit), x))
-    h = ExactMatrix.diagonal([D - 2 * x.bit_count() for x in space.vertices])
-    rep = Sl2Rep(
-        n,
-        _rows_to_matrix(e_cells, n),
-        _rows_to_matrix(f_cells, n),
-        h,
-    )
-    aj_cells: set[tuple[int, int]] = set()
-    ajbar_cells: set[tuple[int, int]] = set()
-    for x, y in space.r2:
-        cells = aj_cells if x.bit_count() == y.bit_count() else ajbar_cells
-        cells.update(((x, y), (y, x)))
-    a2star = ExactMatrix.diagonal(
-        [Fraction((D - 2 * x.bit_count()) ** 2 - D, 2) for x in space.vertices]
-    )
-    ops = GraphOperators(
-        _rows_to_matrix(aj_cells, n), _rows_to_matrix(ajbar_cells, n), a2star
-    )
-    return rep, ops, tuple(hypercube_checks(rep, ops, space))
+    return HypercubeSpace(D, tuple(range(1 << D)))
 
 
 def build_hypercube(D: int) -> tuple[Sl2Rep, GraphOperators]:
-    """The module on the cube's vertex set plus the level-graph operators.
+    """The module on the cube's vertex set plus the level-graph operators:
+    the orbit vectors of ``orbit.cube_operators`` expanded to dense matrices,
+    A2star being 2A2star over 2.
 
-    Dense construction; D is capped at MAX_DENSE_D.  Every build runs the
-    dual-route consistency checks and raises if one fails.
+    D is capped at MAX_DENSE_D (``hypercube_space``), since every matrix is
+    stored dense.  Raises if one of the cube's checks fails.
     """
-    rep, ops, checks = _checked_hypercube(D)
-    problems = [c.identity for c in checks if not c.passed]
-    if problems:
-        raise ArithmeticError(f"hypercube build inconsistency: {problems}")
-    return rep, ops
+    hypercube_space(D)  # raises outside 2..MAX_DENSE_D
+    ops = cube_operators(D)
+    E, F, H, A2J, A2Jbar = (dense(ops[k], D) for k in ("E", "F", "H", "A2J", "A2Jbar"))
+    return Sl2Rep(1 << D, E, F, H), GraphOperators(A2J, A2Jbar, dense(ops["2A2star"], D, 2))
 
 
 def hypercube_checks(
     rep: Sl2Rep, ops: GraphOperators, space: HypercubeSpace
 ) -> list[CheckResult]:
-    """The cube build's consistency checks: ``orbit.check_list`` on the orbit
-    vectors of E, F, H, A2J, A2Jbar and 2*A2star.
+    """The cube's consistency checks on dense operators: ``orbit.check_list``
+    on the orbit vectors of E, F, H, A2J, A2Jbar and 2*A2star.
 
     Raises RelationFailure if one of them is not S_D-invariant or not an
     integer matrix, since only such operators have integer orbit vectors.

@@ -9,7 +9,8 @@ import random
 import time
 from fractions import Fraction
 
-from racahlab import pbw, sl2
+from dense_cube import build as dense_build, forbid_dense_cube
+from racahlab import pbw
 from racahlab.decompose import (
     block_dimension_formula,
     compare_te_re,
@@ -40,25 +41,11 @@ from racahlab.rd import (
     min_polys,
     parameter_diagonalizable,
 )
-from racahlab.sl2 import (
-    build_hypercube,
-    build_Ln,
-    even_halves,
-    hypercube_checks,
-    hypercube_space,
-    sharp_pullback,
-)
+from racahlab.sl2 import build_Ln, even_halves, hypercube_checks, hypercube_space, sharp_pullback
 
 CUBE_RANGE = range(2, 9)
 # past the dense cap: orbit coordinates and the copies of L_n only
 BEYOND_DENSE = range(9, 17)
-
-
-def _forbid_dense_cube(monkeypatch):
-    def dense(D):
-        raise AssertionError(f"dense cube build at D={D}")
-
-    monkeypatch.setattr(sl2, "_checked_hypercube", dense)
 
 
 def _report(criterion: str, ok: bool, elapsed: float, budget: float | None = None):
@@ -169,7 +156,7 @@ def test_criterion_07_complete_reducibility_and_leonard(monkeypatch):
         report = re_decompose(build_Ln(n))
         ok &= report.complete
         ok &= all(g.leonard_passed for g in report.summands)
-    _forbid_dense_cube(monkeypatch)
+    forbid_dense_cube(monkeypatch)
     for D in (*CUBE_RANGE, *BEYOND_DENSE):
         for report, dim in ((cube_decompose(D), 2**D), (halved_decompose(D), 2 ** (D - 1))):
             ok &= report.complete
@@ -186,8 +173,9 @@ def test_criterion_07_complete_reducibility_and_leonard(monkeypatch):
 def test_criterion_08_cube_operator_identities_and_surjectivity(monkeypatch):
     start = time.monotonic()
     ok = True
+    # the cube built from its definitions, independent of orbit.cube_build
     for D in CUBE_RANGE:
-        rep, ops = build_hypercube(D)
+        rep, ops = dense_build(D)
         checks = hypercube_checks(rep, ops, hypercube_space(D))
         ok &= all(c.passed for c in checks)
         graph_closure = cube_operator_closure(D)
@@ -198,7 +186,7 @@ def test_criterion_08_cube_operator_identities_and_surjectivity(monkeypatch):
         ok &= all(
             pull_closure.contains(m) for m in (ops.A2J, ops.A2Jbar, ops.A2star)
         )
-    _forbid_dense_cube(monkeypatch)
+    forbid_dense_cube(monkeypatch)
     for D in BEYOND_DENSE:
         ok &= all(c.passed for c in cube_build(D)[1])
         graph_closure = cube_operator_closure(D)
@@ -213,7 +201,7 @@ def test_criterion_08_cube_operator_identities_and_surjectivity(monkeypatch):
 def test_criterion_09_algebra_dimension_and_blocks(monkeypatch):
     start = time.monotonic()
     ok = True
-    _forbid_dense_cube(monkeypatch)
+    forbid_dense_cube(monkeypatch)
     for D in (*CUBE_RANGE, *BEYOND_DENSE):
         profile = cube_semisimple_profile(D)
         ok &= profile.dim == block_dimension_formula(D)

@@ -8,9 +8,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from dense_cube import forbid_dense_cube
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from racahlab import cli, leonard, orbit, rd, sl2
+from racahlab import cli, leonard, orbit, rd
 from racahlab import decompose as dec
 from racahlab.cli import build_parser, main, run_suite, SuiteConfig, SUITE_TARGETS
 from racahlab.gaussian import GaussianRational
@@ -115,10 +116,7 @@ def test_hypercube_verify(capsys):
 
 
 def test_verify_and_thm1_8_build_no_dense_cube(monkeypatch, capsys):
-    def dense(D):
-        raise AssertionError(f"dense cube build at D={D}")
-
-    monkeypatch.setattr(sl2, "_checked_hypercube", dense)
+    forbid_dense_cube(monkeypatch)
     status, out = _run(capsys, "hypercube", "verify", "--D", "9")
     assert status == 0 and len(json.loads(out)) == 16
     status, out = _run(capsys, "suite", "--targets", "thm1_8", "--D", "9..9")
@@ -206,6 +204,7 @@ def test_missing_required_argument(capsys):
         ["decompose", "--target", "Ln", "--n", "33"],
         ["leonard", "check", "--rep", "{oversized}"],
         ["suite", "--targets", ","],
+        ["racah", "verify", "--rep", "{arabic_digits}"],
     ],
     ids=["zero-denominator-flag", "bad-token-flag", "unwritable-out", "bad-range",
          "export-under-a-file", "missing-rep", "missing-rep-leonard", "short-block", "zero-denominator-file",
@@ -214,7 +213,7 @@ def test_missing_required_argument(capsys):
          "compare-above-orbit-cap", "suite-thm8_7-above-orbit-cap", "build-D9-above-dense-cap",
          "suite-above-orbit-cap", "suite-export-above-dense-cap", "analyze-above-size-cap",
          "build-above-size-cap", "suite-d-above-size-cap", "Ln-above-size-cap",
-         "rep-above-size-cap", "empty-target-list"],
+         "rep-above-size-cap", "empty-target-list", "non-ascii-digits"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     files = {
@@ -226,12 +225,15 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
         "repeated": tmp_path / "repeated.txt",
         "negative_header": tmp_path / "negative_header.txt",
         "oversized": tmp_path / "oversized.txt",
+        "arabic_digits": tmp_path / "arabic_digits.txt",
     }
     files["short"].write_text("A\n2 2\n1/1 0/1 0/1\n")
     files["zero_den"].write_text("A\n1 1\n1/0\n")
     files["ragged"].write_text("A 1 1 0 B 1 1 0 C 1 1 0 Delta 2 2 0 0 0 0\n")
     # a later A block must not silently replace the first one
     files["repeated"].write_text("A 1 1 5\nA 1 1 7\nB 1 1 0\nC 1 1 0\nDelta 1 1 0\n")
+    # ARABIC-INDIC ONE, ONE, THREE: int() would read the block as 'A 1 1 3'
+    files["arabic_digits"].write_text("A \u0661 \u0661 \u0663 B 1 1 0 C 1 1 0 Delta 1 1 0\n")
     files["negative_header"].write_text("A\n2 -2\n1/1 0/1 0/1 1/1\nB 1 1 0 C 1 1 0 Delta 1 1 0\n")
     # R_d one past the --d cap, built by the library, which has no cap
     oversized = rd.construct(rd.RdParams(1, 0, 0, cli.MAX_MODULE_SIZE + 1))
@@ -383,7 +385,9 @@ def test_suite_rejects_negative_samples(capsys):
     assert status == 0 and report["ok"] is True and report["checks"] == []
 
 
-@pytest.mark.parametrize("extra", [["--D", "2..17"], ["--D", "8..9", "--export-matrices", "{tmp}/cube"]])
+@pytest.mark.parametrize(
+    "extra", [["--D", "2..17"], ["--D", "8..9", "--export-matrices", "{tmp}/cube"], ["--d=-3..-1"]]
+)
 def test_suite_checks_D_before_any_target_runs(extra, tmp_path, monkeypatch, capsys):
     def ran(cfg):
         raise AssertionError("a target ran")
@@ -531,6 +535,7 @@ UNREACHED = {
     "sl2.halved_cube": "dense even-level cube oracle; benchmarks/tracer.py times it",
     "sl2.HalvedCube": "the record halved_cube returns",
     "sl2._restrict": "halved_cube's restriction to the even levels",
+    "sl2.hypercube_checks": "check_list on dense matrices; the benchmark's cube workload calls it",
     "matrix.rref": "echelon oracle of the tests; benchmarks/tracer.py times it",
     "decompose.prop_7_6_classes": "Proposition 7.6, checked by tests: a suite target candidate",
     "decompose.expected_cube_even_classes": "Proposition 7.6's cube catalog: a suite target candidate",

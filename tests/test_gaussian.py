@@ -30,7 +30,8 @@ def test_token_canonical_forms():
 
 
 def test_parse_rejects_floats_and_junk():
-    for bad in ("0.5", "1/2+i", "", "i", "1/2 + 1/2*i"):
+    # digits of other scripts are not ASCII digits: '\u0663' is ARABIC-INDIC THREE
+    for bad in ("0.5", "1/2+i", "", "i", "1/2 + 1/2*i", "\u0663", "1/\u0663", "1+\u0661/2*i", "1_0"):
         with pytest.raises(ValueError):
             GaussianRational.parse(bad)
 

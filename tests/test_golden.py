@@ -104,8 +104,16 @@ def _stdout_of(argv: list[str]) -> str:
     return _run(argv)[1]
 
 
-def _export(directory: Path) -> None:
-    _stdout_of(["hypercube", "build", "--D", str(EXPORT_D), "--export", str(directory)])
+# the two commands that export the cube's matrices; each exits 0
+EXPORT_COMMANDS = {
+    "hypercube": ["hypercube", "build", "--D", str(EXPORT_D), "--export"],
+    "suite": ["suite", "--targets", "thm1_8", "--D", f"{EXPORT_D}..{EXPORT_D}", "--export-matrices"],
+}
+
+
+def _export(directory: Path, command: str) -> None:
+    code, _out = _run([*EXPORT_COMMANDS[command], str(directory)])
+    assert code == 0
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_CASES) + EXPORT_CASES)
@@ -113,10 +121,11 @@ def test_output_matches_golden(name, tmp_path):
     if name in STDOUT_CASES:
         code, got = _run(STDOUT_CASES[name])
         assert code == EXIT_CODES.get(name, 0)
+        assert got == (GOLDEN / name).read_text()
     else:
-        _export(tmp_path)
-        got = (tmp_path / name).read_text()
-    assert got == (GOLDEN / name).read_text()
+        for command in EXPORT_COMMANDS:
+            _export(tmp_path / command, command)
+            assert (tmp_path / command / name).read_text() == (GOLDEN / name).read_text(), command
 
 
 if __name__ == "__main__":
@@ -125,6 +134,6 @@ if __name__ == "__main__":
     for name, argv in sorted(STDOUT_CASES.items(), key=lambda kv: not kv[0].startswith("rd_build")):
         (GOLDEN / name).write_text(_stdout_of(argv))
     with tempfile.TemporaryDirectory() as tmp:
-        _export(Path(tmp))
+        _export(Path(tmp), "hypercube")
         for name in EXPORT_CASES:
             (GOLDEN / name).write_text((Path(tmp) / name).read_text())

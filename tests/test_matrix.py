@@ -1063,6 +1063,9 @@ def test_matrix_text_rejects_a_nonpositive_header():
         ExactMatrix.from_text("2 -2 1/1 0/1 0/1 1/1")
     with pytest.raises(ValueError):
         ExactMatrix.from_text("2 x 1/1 0/1")
+    for header in ("1 1_0", "1 \u0661\u0660", "\u0661 10"):  # '1_0' and ARABIC-INDIC '10', '1'
+        with pytest.raises(ValueError, match="not two integers"):
+            ExactMatrix.from_text(f"{header} {' '.join(['0'] * 10)}")
 
 
 def test_matrix_text_roundtrip():

@@ -5,6 +5,7 @@ operators, and the orbit closures against the dense ``algebra_closure``
 from functools import lru_cache
 
 import pytest
+from dense_cube import build as dense_build
 from hypothesis import given, settings, strategies as st
 
 from racahlab import orbit
@@ -64,14 +65,16 @@ def test_orbit_product_matches_dense_product(pair):
 @given(_orbit_pairs())
 def test_orbit_vector_inverts_expand(pair):
     D, vec, _ = pair
+    assert orbit.dense(vec, D) == expand(vec, D)
     assert orbit.orbit_vector(expand(vec, D), D) == [vec, None]
     even = orbit.restrict(vec, D)
+    assert orbit.dense(even, D, even=True) == expand(even, D, even=True)
     assert orbit.orbit_vector(expand(even, D, even=True), D, even=True) == [even, None]
 
 
 @pytest.mark.parametrize("D", range(2, 7))
 def test_cube_operators_match_dense_build(D):
-    rep, ops = build_hypercube(D)
+    rep, ops = dense_build(D)
     pull = sharp_pullback(rep)
     op = orbit.cube_operators(D)
     expected = {
@@ -133,11 +136,18 @@ def test_contains_agrees_with_dense_on_other_matrices(D):
         assert te.contains(_even_part(m, D)) == dense_te.contains(_even_part(m, D))
 
 
-def test_contains_rejects_wrong_size():
+def test_contains_rejects_wrong_size(monkeypatch):
     with pytest.raises(DimensionMismatch):
         cube_operator_closure(3).contains(ExactMatrix.identity(4))
     with pytest.raises(DimensionMismatch):
         cube_operator_closure(3).contains(ExactMatrix.from_rows([[0] * 8] * 4))
+    # the size is checked before the 4^D-entry orbit table is built
+    def table(D, even=False):
+        raise AssertionError(f"orbit table built at D={D}")
+
+    monkeypatch.setattr(orbit, "_pair_orbits", table)
+    with pytest.raises(DimensionMismatch, match="65536x65536"):
+        orbit.OrbitClosure(16, False, 0, None).contains(ExactMatrix.identity(4))
 
 
 @pytest.mark.parametrize("D", [0, 1, orbit.MAX_ORBIT_D + 1, 500])

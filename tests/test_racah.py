@@ -154,6 +154,22 @@ def test_rep_text_rejects_bad_labels():
         rep_from_text("X\n1 1\n1/1\n")
 
 
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ("A \u0661 \u0661 3", "header '\u0661 \u0661' is not two integers"),
+        ("A 1_0 1 3", "header '1_0 1' is not two integers"),
+        ("A 1 1 \u0663", "not a Gaussian-rational token"),
+        ("A 1 1 1_0", "not a Gaussian-rational token"),
+    ],
+    ids=["header-digit", "header-underscore", "entry-digit", "entry-underscore"],
+)
+def test_rep_text_rejects_non_ascii_digits(block, message):
+    """'\u0661' and '\u0663' are ARABIC-INDIC ONE and THREE."""
+    with pytest.raises(ValueError, match=message):
+        rep_from_text(f"{block}\nB 1 1 0\nC 1 1 0\nDelta 1 1 0\n")
+
+
 def test_rep_text_rejects_repeated_labels():
     with pytest.raises(ValueError, match="repeated block label 'A'"):
         rep_from_text("A 1 1 5\nA 1 1 7\nB 1 1 0\nC 1 1 0\nDelta 1 1 0\n")

@@ -3,11 +3,10 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
-
 import pytest
+from dense_cube import build as dense_build, forbid_dense_cube, johnson_adjacency, r2, r2_split_operators
 
-from racahlab import decompose, orbit, sl2
+from racahlab import decompose, orbit
 from racahlab.cli import main
 from racahlab.errors import RelationFailure
 from racahlab.gaussian import GaussianRational, gr
@@ -96,7 +95,7 @@ class TestHypercube:
     def test_space_counts(self):
         space = hypercube_space(3)
         assert len(space.vertices) == 8
-        assert len(space.r2) == 12
+        assert len(r2(3)) == 12
 
     def test_d2_matrices(self):
         rep, ops = build_hypercube(2)
@@ -137,32 +136,21 @@ class TestHypercube:
     def test_cap(self):
         with pytest.raises(ValueError):
             build_hypercube(13)
+        with pytest.raises(ValueError, match="capped at D = 8"):
+            hypercube_space(9)
+
+    @pytest.mark.parametrize("D", range(2, 9))
+    def test_build_matches_dense_oracle(self, D):
+        assert build_hypercube(D) == dense_build(D)
+
+    def test_dense_cube_guard_raises(self, monkeypatch):
+        build_hypercube(2)
+        forbid_dense_cube(monkeypatch)
+        with pytest.raises(AssertionError, match="dense cube build at D=2"):
+            build_hypercube(2)
 
 
 # -- the dense oracle of the cube's check list -----------------------------
-
-
-def _r2_split_operators(space, n):
-    """R2 sums split by level movement: below, equal, above."""
-    below, equal, above = set(), set(), set()
-    for x, y in space.r2:
-        for src, dst in ((x, y), (y, x)):
-            ks, kd = src.bit_count(), dst.bit_count()
-            if kd < ks:
-                below.add((dst, src))
-            elif kd == ks:
-                equal.add((dst, src))
-            else:
-                above.add((dst, src))
-    return tuple(sl2._rows_to_matrix(cells, n) for cells in (below, equal, above))
-
-
-def johnson_adjacency(D, k):
-    """Adjacency matrix of the level-k subset graph, on sorted k-subsets."""
-    verts = sorted(sum(1 << (i - 1) for i in combo) for combo in combinations(range(1, D + 1), k))
-    index = {v: pos for pos, v in enumerate(verts)}
-    cells = {(index[v], index[w]) for v in verts for w in verts if (v ^ w).bit_count() == 2}
-    return sl2._rows_to_matrix(cells, len(verts))
 
 
 def dense_hypercube_checks(rep, ops, space):
@@ -171,7 +159,7 @@ def dense_hypercube_checks(rep, ops, space):
     D = space.D
     n = rep.dim
     checks = list(relation_checks(rep))
-    below, equal, above = _r2_split_operators(space, n)
+    below, equal, above = r2_split_operators(D)
     lam_diag = ExactMatrix.diagonal(
         [D + Fraction((D - 2 * x.bit_count()) ** 2, 2) for x in space.vertices]
     )
@@ -209,7 +197,7 @@ def dense_hypercube_checks(rep, ops, space):
 
 @pytest.mark.parametrize("D", range(2, 8))
 def test_check_list_matches_dense_oracle(D):
-    rep, ops = build_hypercube(D)
+    rep, ops = dense_build(D)
     space = hypercube_space(D)
     perturbed = replace(ops, A2J=ops.A2J + ExactMatrix.identity(rep.dim))
     for graph in (ops, perturbed):
