@@ -150,11 +150,11 @@ def orbit_vector(matrix: ExactMatrix, D: int, even: bool = False):
     return parts
 
 
-def dense(vec, D: int, den: int = 1, even: bool = False) -> ExactMatrix:
-    """The matrix vec / den, whose (x, y) entry is vec at the orbit of
-    (x, y); rows and columns as in ``_pair_orbits``.  It inverts
-    ``orbit_vector`` on integer orbit vectors."""
-    return _from_ints(den, [[vec[k] for k in row] for row in _pair_orbits(D, even)], None)
+def dense(vec, D: int, den: int = 1) -> ExactMatrix:
+    """The 2^D x 2^D matrix vec / den, whose (x, y) entry is vec at the
+    orbit of (x, y); rows and columns as in ``_pair_orbits``.  It inverts
+    ``orbit_vector`` on integer orbit vectors of the full cube."""
+    return _from_ints(den, [[vec[k] for k in row] for row in _pair_orbits(D)], None)
 
 
 @dataclass(frozen=True)

@@ -116,16 +116,25 @@ def _export(directory: Path, command: str) -> None:
     assert code == 0
 
 
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory) -> dict[str, Path]:
+    """Each export command run once: command -> the directory it wrote."""
+    directories = {command: tmp_path_factory.mktemp(command) for command in EXPORT_COMMANDS}
+    for command, directory in directories.items():
+        _export(directory, command)
+    return directories
+
+
 @pytest.mark.parametrize("name", sorted(STDOUT_CASES) + EXPORT_CASES)
-def test_output_matches_golden(name, tmp_path):
+def test_output_matches_golden(name, request):
     if name in STDOUT_CASES:
         code, got = _run(STDOUT_CASES[name])
         assert code == EXIT_CODES.get(name, 0)
         assert got == (GOLDEN / name).read_text()
     else:
-        for command in EXPORT_COMMANDS:
-            _export(tmp_path / command, command)
-            assert (tmp_path / command / name).read_text() == (GOLDEN / name).read_text(), command
+        # requested here, so that the stdout cases do not run the exports
+        for command, directory in request.getfixturevalue("exported").items():
+            assert (directory / name).read_text() == (GOLDEN / name).read_text(), command
 
 
 if __name__ == "__main__":
