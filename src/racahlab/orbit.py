@@ -241,7 +241,15 @@ def check_list(
     """
     orbs = orbits(D)
     one = identity(D)
-    mul = lambda x, y: product(x, y, D)
+    # the 13 products have 7 distinct left factors: build each one's rows once
+    rows: dict[tuple[int, ...], list[list[tuple[int, int]]]] = {}
+
+    def mul(x: list[int], y: list[int]) -> list[int]:
+        key = tuple(x)
+        if key not in rows:
+            rows[key] = multiplier(x, D)
+        return _apply(rows[key], y)
+
     pairs = lambda ab: [int((a, b) == ab) for a, b, _c, _e in orbs]
     diagonal = lambda f: [f(c) * (a == b == 0) for a, b, c, _e in orbs]
     below, equal, above = pairs((0, 2)), pairs((1, 1)), pairs((2, 0))

@@ -2,8 +2,14 @@
 
 An element is a finitely supported map from exponent triples ``(e, f, h)``
 to Gaussian-rational coefficients, standing for the sum of the normal-ordered
-monomials ``E^e F^f H^h``.  Products are straightened recursively with
-memoized monomial tables, using the defining commutation rules
+monomials ``E^e F^f H^h``.  It is stored as one denominator over Gaussian
+integers, ``(den, nums)``: ``den > 0`` and ``nums`` maps each triple of the
+support to the numerator pair ``(re, im)``, with ``gcd(den, every
+numerator) == 1`` and ``den == 1`` for zero, so equal elements are stored
+alike (as ``GaussianRational`` and ``ExactMatrix`` are).  Every operation is
+integer arithmetic on the numerators followed by one ``gcd``.  Products are
+straightened with memoized integer monomial tables, using the defining
+commutation rules
 
     [H, E] = 2E,    [H, F] = -2F,    [E, F] = H.
 
@@ -17,25 +23,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
-from .gaussian import GaussianRational, I, ONE, ZERO, gr
+from .gaussian import GaussianRational, I, ONE, ZERO, _make, gr
 
 Triple = tuple[int, int, int]
+Nums = dict[Triple, tuple[int, int]]
 
 
 class PBWElement:
-    """A normal-ordered element: map (e, f, h) -> coefficient."""
+    """A normal-ordered element: map (e, f, h) -> coefficient, stored as
+    ``nums[(e, f, h)] / den`` (see the module docstring); ``terms`` is the
+    map to ``GaussianRational`` coefficients, built on demand."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums")
 
     def __init__(self, terms: dict[Triple, GaussianRational] | None = None):
-        clean: dict[Triple, GaussianRational] = {}
-        if terms:
-            for key, val in terms.items():
-                if val:
-                    clean[key] = val
-        object.__setattr__(self, "terms", clean)
+        coeffs = {key: gr(val) for key, val in (terms or {}).items()}
+        den = lcm(*(c.den for c in coeffs.values()))
+        _set_den(self, den)
+        _set_nums(self, {
+            key: (c.num_re * (den // c.den), c.num_im * (den // c.den))
+            for key, c in coeffs.items() if c
+        })
 
     def __setattr__(self, name, value):
         raise AttributeError("PBWElement is immutable")
@@ -44,15 +54,21 @@ class PBWElement:
 
     @classmethod
     def zero(cls) -> "PBWElement":
-        return cls()
+        return _stored(1, {})
 
     @classmethod
     def monomial(cls, e: int, f: int, h: int, coeff=1) -> "PBWElement":
-        return cls({(e, f, h): gr(coeff)})
+        c = gr(coeff)
+        return _reduced(c.den, {(e, f, h): (c.num_re, c.num_im)})
 
     @classmethod
     def scalar(cls, value) -> "PBWElement":
-        return cls({(0, 0, 0): gr(value)})
+        return cls.monomial(0, 0, 0, value)
+
+    @property
+    def terms(self) -> dict[Triple, GaussianRational]:
+        den = self.den
+        return {key: _make(re, im, den) for key, (re, im) in self.nums.items()}
 
     # -- ring operations -------------------------------------------------
 
@@ -60,11 +76,14 @@ class PBWElement:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            cur = out.get(key)
-            out[key] = val if cur is None else cur + val
-        return PBWElement(out)
+        den = lcm(self.den, other.den)
+        out: Nums = {}
+        for x in (self, other):
+            k = den // x.den
+            for key, (re, im) in x.nums.items():
+                cur_re, cur_im = out.get(key, (0, 0))
+                out[key] = (cur_re + re * k, cur_im + im * k)
+        return _reduced(den, out)
 
     __radd__ = __add__
 
@@ -81,23 +100,27 @@ class PBWElement:
         return other - self
 
     def __neg__(self):
-        return PBWElement({k: -v for k, v in self.terms.items()})
+        return _stored(self.den, {k: (-re, -im) for k, (re, im) in self.nums.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = gr(other)
-            return PBWElement({k: v * c for k, v in self.terms.items()})
+            return self._times(c.num_re, c.num_im, c.den)
         if not isinstance(other, PBWElement):
             return NotImplemented
-        out: dict[Triple, GaussianRational] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for mono, coeff in _mono_product(m1, m2):
-                    add = c12 * coeff
-                    cur = out.get(mono)
-                    out[mono] = add if cur is None else cur + add
-        return PBWElement(out)
+        out: dict[Triple, list[int]] = {}
+        right = other.nums.items()
+        for m1, (a, b) in self.nums.items():
+            for m2, (c, d) in right:
+                re, im = a * c - b * d, a * d + b * c
+                for mono, k in _mono_product(m1, m2):
+                    acc = out.get(mono)
+                    if acc is None:
+                        out[mono] = [re * k, im * k]
+                    else:
+                        acc[0] += re * k
+                        acc[1] += im * k
+        return _reduced(self.den * other.den, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -105,7 +128,14 @@ class PBWElement:
         return NotImplemented
 
     def __truediv__(self, other):
-        return self * (ONE / gr(other))
+        c = ONE / gr(other)
+        return self._times(c.num_re, c.num_im, c.den)
+
+    def _times(self, a: int, b: int, d: int) -> "PBWElement":
+        """self * (a + b*i) / d, for d > 0."""
+        return _reduced(
+            self.den * d, {k: (re * a - im * b, re * b + im * a) for k, (re, im) in self.nums.items()}
+        )
 
     def __pow__(self, n: int) -> "PBWElement":
         result = PBWElement.scalar(1)
@@ -120,26 +150,27 @@ class PBWElement:
     # -- structure ---------------------------------------------------------
 
     def coefficient(self, e: int, f: int, h: int) -> GaussianRational:
-        return self.terms.get((e, f, h), ZERO)
+        num = self.nums.get((e, f, h))
+        return ZERO if num is None else _make(*num, self.den)
 
     @property
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self.nums)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_even(self) -> bool:
         """True iff every monomial has even degree e - f."""
-        return all((e - f) % 2 == 0 for (e, f, _h) in self.terms)
+        return all((e - f) % 2 == 0 for (e, f, _h) in self.nums)
 
     def graded_components(self) -> list["GradedComponent"]:
         """Partition by degree e - f, ascending; concatenation reproduces self."""
-        buckets: dict[int, dict[Triple, GaussianRational]] = {}
-        for (e, f, h), c in self.terms.items():
-            buckets.setdefault(e - f, {})[(e, f, h)] = c
+        buckets: dict[int, Nums] = {}
+        for (e, f, h), num in self.nums.items():
+            buckets.setdefault(e - f, {})[(e, f, h)] = num
         return [
-            GradedComponent(degree, PBWElement(buckets[degree]))
+            GradedComponent(degree, _reduced(self.den, buckets[degree]))
             for degree in sorted(buckets)
         ]
 
@@ -147,25 +178,51 @@ class PBWElement:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a scalar element hashes as its GaussianRational, which it equals
+        if self.nums.keys() <= {(0, 0, 0)}:
+            return hash(self.coefficient(0, 0, 0))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
-        for (e, f, h) in sorted(self.terms, key=lambda t: (t[0] + t[1] + t[2], t)):
-            c = self.terms[(e, f, h)]
+        for (e, f, h) in sorted(self.nums, key=lambda t: (t[0] + t[1] + t[2], t)):
             word = "".join(
                 sym * k for sym, k in (("E", e), ("F", f), ("H", h))
             )
-            parts.append(f"({c.token()})*{word or '1'}")
+            parts.append(f"({self.coefficient(e, f, h).token()})*{word or '1'}")
         return " + ".join(parts)
+
+
+# the slot setters, which bypass the __setattr__ that keeps elements immutable
+_set_den, _set_nums = (PBWElement.__dict__[name].__set__ for name in PBWElement.__slots__)
+
+
+def _stored(den: int, nums: Nums) -> PBWElement:
+    """The element nums / den, already in canonical form."""
+    x = object.__new__(PBWElement)
+    _set_den(x, den)
+    _set_nums(x, nums)
+    return x
+
+
+def _reduced(den: int, acc) -> PBWElement:
+    """The element acc / den brought to canonical form; den > 0 and acc maps
+    triples to integer (re, im) pairs, zeros allowed."""
+    nums = {key: (re, im) for key, (re, im) in acc.items() if re or im}
+    g = den
+    for re, im in nums.values():
+        g = gcd(g, re, im)
+        if g == 1:
+            return _stored(den, nums)
+    return _stored(den // g, {key: (re // g, im // g) for key, (re, im) in nums.items()})
 
 
 @dataclass(frozen=True)
@@ -370,17 +427,19 @@ def _generator_images(letter: str) -> tuple[PBWElement, PBWElement, PBWElement]:
 
 
 def _apply_letter(letter: str, x: PBWElement) -> PBWElement:
-    img_e, img_f, img_h = _generator_images(letter)
+    images = _generator_images(letter)
+    one = PBWElement.scalar(1)
+    # powers[g][n] is the n-th power of generator g's image, built as needed
+    powers = [[one] for _ in images]
     out = PBWElement.zero()
-    for (e, f, h), c in x.terms.items():
-        term = PBWElement.scalar(c)
-        if e:
-            term = term * img_e ** e
-        if f:
-            term = term * img_f ** f
-        if h:
-            term = term * img_h ** h
-        out = out + term
+    for exps, (re, im) in x.nums.items():
+        term = one
+        for img, table, n in zip(images, powers, exps):
+            while len(table) <= n:
+                table.append(table[-1] * img)
+            if n:
+                term = term * table[n]
+        out = out + term._times(re, im, x.den)
     return out
 
 
@@ -596,13 +655,13 @@ def even_lambda_span_coordinates(
         return {}
     if not x.is_even():
         return None
-    max_h = max(h for (_e, _f, h) in x.terms)
+    max_h = max(h for (_e, _f, h) in x.nums)
     # Mixing depth: the power of the central element needed to produce a
     # monomial with min(e, f) = m is at least m, and at most that (the
     # top mixed layer of each power never cancels).
-    mix = max(min(e, f) for (e, f, _h) in x.terms)
+    mix = max(min(e, f) for (e, f, _h) in x.nums)
     k_bound = max_h + 2 * mix
-    degrees = {e - f for (e, f, _h) in x.terms}
+    degrees = {e - f for (e, f, _h) in x.nums}
     lam = casimir()
     lam_powers = [PBWElement.scalar(1)]
     for _ in range(mix + 1):
@@ -615,7 +674,7 @@ def even_lambda_span_coordinates(
             for k in range(k_bound + 1):
                 candidate = prefix * lam_powers[i] * H ** k
                 family.append(((degree // 2, i, k), candidate))
-    keys = sorted({t for _lab, el in family for t in el.terms} | set(x.terms))
+    keys = sorted({t for _lab, el in family for t in el.nums} | set(x.nums))
     index = {t: pos for pos, t in enumerate(keys)}
     from .matrix import ExactMatrix, solve_columns
 

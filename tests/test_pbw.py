@@ -2,11 +2,13 @@
 homomorphism images, and the dihedral action."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
+import pbw_oracle
 from racahlab import pbw
-from racahlab.gaussian import GaussianRational, gr
+from racahlab.gaussian import GaussianRational, I, gr
 from racahlab.pbw import E, F, H, PBWElement, casimir, commutator, d3_apply, sharp
 
 HALF = GaussianRational(Fraction(1, 2))
@@ -50,6 +52,54 @@ def test_multiplication_associative(m1, m2, m3):
     y = PBWElement.monomial(*m2)
     z = PBWElement.monomial(*m3)
     assert (x * y) * z == x * (y * z)
+
+
+# coefficients from the box of cli.sample_params: (re + im*i) / den
+scalars = st.builds(
+    lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)),
+    st.integers(-3, 3),
+    st.integers(-1, 1),
+    st.integers(1, 3),
+)
+elements = st.dictionaries(monomials, scalars, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements, elements, scalars.filter(bool))
+def test_product_matches_letter_by_letter_oracle(xs, ys, c):
+    x, y = PBWElement(xs), PBWElement(ys)
+    assert x * y == PBWElement(pbw_oracle.product(xs, ys))
+    assert (x * c) / c == x
+    assert x * c == c * x
+    assert (x - x).is_zero() and (x - x).term_count == 0
+
+
+def _assert_canonical(x: PBWElement):
+    assert x.den > 0 and all(re or im for re, im in x.nums.values())
+    assert gcd(x.den, *(n for pair in x.nums.values() for n in pair)) == 1
+    for key, c in x.terms.items():
+        assert c == x.coefficient(*key) and c.den > 0
+        assert gcd(c.num_re, c.num_im, c.den) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements, elements)
+def test_equal_elements_are_stored_alike(xs, ys):
+    x, y = PBWElement(xs), PBWElement(ys)
+    for other in ((x + y) - y, x * 6 / 6, -(-x), x * I / I, x + PBWElement.zero()):
+        _assert_canonical(other)
+        assert (other.den, other.nums) == (x.den, x.nums)
+        assert hash(other) == hash(x)
+    _assert_canonical(x * y + x)
+    assert (x - x).den == 1
+
+
+def test_scalar_elements_hash_as_their_scalars():
+    for value in (0, 2, Fraction(-1, 2), GaussianRational(1, 1)):
+        element = PBWElement.scalar(value)
+        assert element == value and hash(element) == hash(value)
+    assert 2 in {PBWElement.scalar(2)}
+    assert PBWElement.zero() in {0}
 
 
 @settings(max_examples=40, deadline=None)
